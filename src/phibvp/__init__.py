@@ -7,12 +7,11 @@ from .certificates import (BoundaryZero, DegreeResult, GrowthCertificate,
                            newton_sign_sum, planar_map, winding_number)
 from .expr import (EvalDomainError, Expr, ParseError, UnknownIdentifierError,
                    eval_expr, eval_many, parse_expr, to_string, variables)
-from .function_space import (Grid, GridFunction, Norms, c1_norm,
-                             consistency_defect, is_consistent, norms,
-                             read_csv, write_csv, zero_function)
-from .homeomorphism import (DomainViolation, Homeomorphism, Kind, identity,
-                            make_homeomorphism, mean_curvature,
-                            parse_phi_config, power, relativistic)
+from .function_space import (Grid, GridFunction, consistency_defect,
+                             is_consistent, zero_function)
+from .homeomorphism import (Homeomorphism, Kind, identity, make_homeomorphism,
+                            mean_curvature, parse_phi_config, power,
+                            relativistic)
 from .operators import (AdmissibilityViolation, BoundedPreconditionError,
                         NoSignChangeError, QphiResult, classic_threepoint_map,
                         dirichlet_map, nemytskii, q_phi,
@@ -26,19 +25,19 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdmissibilityViolation", "BoundaryZero", "BoundedPreconditionError",
-    "DegreeResult", "DomainViolation", "EvalDomainError", "Expr", "Grid",
+    "DegreeResult", "EvalDomainError", "Expr", "Grid",
     "GridFunction", "GrowthCertificate", "Homeomorphism",
     "InconsistentDerivative", "Kind", "NonConvergence", "NoSignChangeError",
-    "Norms", "OracleFailure", "ParseError", "ProblemClass", "ProblemSpec",
+    "OracleFailure", "ParseError", "ProblemClass", "ProblemSpec",
     "QphiResult", "SampleBox", "SignCertificate", "SolveReport",
     "UnknownIdentifierError", "Verdict", "apply_fixed_point_map",
-    "bc_residual", "brouwer_degree", "c1_norm", "check_growth", "check_signs",
+    "bc_residual", "brouwer_degree", "check_growth", "check_signs",
     "classic_threepoint_map", "consistency_defect", "dirichlet_map",
     "eval_expr", "eval_many", "identity", "is_consistent",
     "make_homeomorphism", "mean_curvature", "nemytskii", "newton_sign_sum",
-    "norms", "ode_residual", "ode_residual_samples", "omega_margin",
+    "ode_residual", "ode_residual_samples", "omega_margin",
     "parse_expr", "parse_phi_config", "planar_map", "power", "q_phi",
-    "read_csv", "relativistic", "shooting_oracle",
+    "relativistic", "shooting_oracle",
     "singular_threepoint_map", "solve", "to_string", "variables",
-    "winding_number", "write_csv", "zero_function",
+    "winding_number", "zero_function",
 ]

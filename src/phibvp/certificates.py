@@ -99,6 +99,24 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
+def _report_text(kind: str, verdict: Verdict,
+                 fields: tuple[tuple[str, float | None], ...],
+                 box: SampleBox | None) -> str:
+    """``key=value`` certificate report: kind, verdict, the certificate's
+    own constants, then the sample box, witness and detail when present."""
+    lines = [f"certificate={kind}", f"verdict={verdict.status}"]
+    lines += [f"{key}={_fmt(value)}" for key, value in fields]
+    if box is not None:
+        lines += [f"box_x={_fmt(box.x_max)}", f"box_y={_fmt(box.y_max)}",
+                  f"samples={box.nt}x{box.nx}x{box.ny}"]
+    if verdict.witness is not None:
+        lines += [f"witness_{axis}={_fmt(value)}"
+                  for axis, value in zip("txy", verdict.witness)]
+    if verdict.detail:
+        lines.append(f"detail={verdict.detail}")
+    return "\n".join(lines) + "\n"
+
+
 @dataclass(frozen=True)
 class GrowthCertificate:
     verdict: Verdict
@@ -109,26 +127,9 @@ class GrowthCertificate:
     box: SampleBox | None
 
     def report_text(self) -> str:
-        lines = [
-            f"certificate=growth",
-            f"verdict={self.verdict.status}",
-            f"h_l1={_fmt(self.h_l1)}",
-            f"a_half={_fmt(self.half_a)}",
-            f"L={_fmt(self.L)}",
-            f"c1_bound={_fmt(self.c1_bound)}",
-        ]
-        if self.box is not None:
-            lines.append(f"box_x={_fmt(self.box.x_max)}")
-            lines.append(f"box_y={_fmt(self.box.y_max)}")
-            lines.append(f"samples={self.box.nt}x{self.box.nx}x{self.box.ny}")
-        if self.verdict.witness is not None:
-            t, x, y = self.verdict.witness
-            lines.append(f"witness_t={_fmt(t)}")
-            lines.append(f"witness_x={_fmt(x)}")
-            lines.append(f"witness_y={_fmt(y)}")
-        if self.verdict.detail:
-            lines.append(f"detail={self.verdict.detail}")
-        return "\n".join(lines) + "\n"
+        return _report_text("growth", self.verdict, (
+            ("h_l1", self.h_l1), ("a_half", self.half_a), ("L", self.L),
+            ("c1_bound", self.c1_bound)), self.box)
 
 
 @dataclass(frozen=True)
@@ -143,27 +144,9 @@ class SignCertificate:
     box: SampleBox
 
     def report_text(self) -> str:
-        lines = [
-            f"certificate=signs",
-            f"verdict={self.verdict.status}",
-            f"m1={_fmt(self.m1)}",
-            f"m2={_fmt(self.m2)}",
-            f"c_neg_l1={_fmt(self.c_neg_l1)}",
-            f"L={_fmt(self.L)}",
-            f"r={_fmt(self.r)}",
-            f"rho_min={_fmt(self.rho_min)}",
-            f"box_x={_fmt(self.box.x_max)}",
-            f"box_y={_fmt(self.box.y_max)}",
-            f"samples={self.box.nt}x{self.box.nx}x{self.box.ny}",
-        ]
-        if self.verdict.witness is not None:
-            t, x, y = self.verdict.witness
-            lines.append(f"witness_t={_fmt(t)}")
-            lines.append(f"witness_x={_fmt(x)}")
-            lines.append(f"witness_y={_fmt(y)}")
-        if self.verdict.detail:
-            lines.append(f"detail={self.verdict.detail}")
-        return "\n".join(lines) + "\n"
+        return _report_text("signs", self.verdict, (
+            ("m1", self.m1), ("m2", self.m2), ("c_neg_l1", self.c_neg_l1),
+            ("L", self.L), ("r", self.r), ("rho_min", self.rho_min)), self.box)
 
 
 def _probe_derivative(n: Expr, dn: Expr, x_max: float) -> None:
@@ -447,9 +430,16 @@ def winding_number(map_fn, rho: float, n_start: int = 256,
                         state["evals"])
 
 
+def _check_horizon(T: float) -> None:
+    # planar_map divides by T, and a reversed interval has no meaning
+    if not (T > 0 and math.isfinite(T)):
+        raise ValueError(f"T must be positive and finite, got {T!r}")
+
+
 def brouwer_degree(f: Expr, T: float, rho: float, n_start: int = 256,
                    simpson_n: int = SIMPSON_N) -> DegreeResult:
     """Degree of the planar map on the disk of radius rho, via winding."""
+    _check_horizon(T)
     return winding_number(
         lambda a, b: planar_map(f, T, a, b, simpson_n=simpson_n),
         rho, n_start=n_start)
@@ -465,6 +455,7 @@ def newton_sign_sum(f: Expr, T: float, rho: float, starts_per_axis: int = 16,
     some Newton run failed to converge or some zero is degenerate; the
     sum is then not a valid degree count.
     """
+    _check_horizon(T)
     delta = 1e-7 * max(1.0, rho)
 
     def G(p: np.ndarray) -> np.ndarray:

@@ -29,10 +29,9 @@ import numpy as np
 
 from .certificates import (BoundaryZero, InconsistentDerivative, SampleBox,
                            brouwer_degree, check_growth, check_signs)
-from .expr import (EvalDomainError, ParseError, eval_many, parse_expr,
-                   variables)
+from .expr import ParseError, eval_many, parse_expr, variables
 from .function_space import DEFAULT_N, Grid
-from .homeomorphism import DomainViolation, parse_phi_config
+from .homeomorphism import parse_phi_config
 from .operators import (AdmissibilityViolation, BoundedPreconditionError,
                         NoSignChangeError, q_phi)
 from .solver import (NonConvergence, ProblemClass, ProblemSpec,
@@ -368,21 +367,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ProblemFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except (ParseError, EvalDomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except (DomainViolation, AdmissibilityViolation,
-            BoundedPreconditionError, NoSignChangeError) as exc:
+    except (AdmissibilityViolation, BoundedPreconditionError,
+            NoSignChangeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except InconsistentDerivative as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except ValueError as exc:
-        # problem-definition faults from constructors (wrong phi kind, bad T)
+    except (ValueError, InconsistentDerivative) as exc:
+        # malformed file or expression, domain fault while evaluating an
+        # expression, or a bad problem definition (wrong phi kind, bad T)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

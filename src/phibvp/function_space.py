@@ -78,15 +78,6 @@ def zero_function(grid: Grid) -> GridFunction:
     return GridFunction(grid, z, z)
 
 
-@dataclass(frozen=True)
-class Norms:
-    """sup = max |u|, l1 = integral of |u|, c1 = max |u| + max |du|."""
-
-    sup: float
-    l1: float
-    c1: float
-
-
 def cumulative_integral_from_0(grid: Grid, v: np.ndarray) -> np.ndarray:
     """w(t_i) = integral of v from 0 to t_i, composite trapezoid; w(0) = 0."""
     v = _as_samples(grid, v)
@@ -114,40 +105,12 @@ def mean(grid: Grid, v: np.ndarray) -> float:
     return integral(grid, v) / grid.T
 
 
-def endpoint_0(v: np.ndarray) -> float:
-    return float(np.asarray(v)[0])
-
-
-def endpoint_T(v: np.ndarray) -> float:
-    return float(np.asarray(v)[-1])
-
-
-def min_max(v: np.ndarray) -> tuple[float, float]:
-    v = np.asarray(v, dtype=float)
-    return float(v.min()), float(v.max())
-
-
-def pos_neg_parts(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(max(v, 0), max(-v, 0)); their difference reconstructs v."""
-    v = np.asarray(v, dtype=float)
-    return np.maximum(v, 0.0), np.maximum(-v, 0.0)
-
-
 def sup_norm(v: np.ndarray) -> float:
     return float(np.max(np.abs(np.asarray(v, dtype=float))))
 
 
 def l1_norm(grid: Grid, v: np.ndarray) -> float:
     return integral(grid, np.abs(_as_samples(grid, v)))
-
-
-def norms(f: GridFunction) -> Norms:
-    s = sup_norm(f.u)
-    return Norms(sup=s, l1=l1_norm(f.grid, f.u), c1=s + sup_norm(f.du))
-
-
-def c1_norm(f: GridFunction) -> float:
-    return norms(f).c1
 
 
 def consistency_defect(f: GridFunction) -> float:
@@ -162,18 +125,3 @@ def consistency_tolerance(f: GridFunction) -> float:
 
 def is_consistent(f: GridFunction) -> bool:
     return consistency_defect(f) <= consistency_tolerance(f)
-
-
-def write_csv(f: GridFunction, path) -> None:
-    """Write "t,u,du" rows at 17 significant digits (round-trip exact)."""
-    with open(path, "w", newline="") as fh:
-        fh.write("t,u,du\n")
-        for t, u, du in zip(f.grid.nodes, f.u, f.du):
-            fh.write(f"{t:.17g},{u:.17g},{du:.17g}\n")
-
-
-def read_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Inverse of write_csv; returns (t, u, du) arrays."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    data = np.atleast_2d(data)
-    return data[:, 0], data[:, 1], data[:, 2]

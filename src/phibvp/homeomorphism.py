@@ -14,7 +14,6 @@ Only increasing homeomorphisms are supported.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -31,23 +30,12 @@ class Kind(enum.Enum):
     SINGULAR = "singular"
 
 
-class DomainViolation(Exception):
-    """An argument left the open interval a map is defined on."""
-
-    def __init__(self, value: float, lo: float, hi: float, what: str = "argument"):
-        self.value = value
-        self.lo = lo
-        self.hi = hi
-        super().__init__(f"{what} {value!r} outside open interval ({lo!r}, {hi!r})")
-
-
 @dataclass(frozen=True)
 class Homeomorphism:
     """An increasing homeomorphism with explicit forward and inverse maps.
 
-    ``forward`` and ``inverse`` are raw vectorized callables without domain
-    guards; ``apply`` / ``apply_inverse`` are the guarded scalar entry
-    points.  ``a`` is the half-width of the bounded side (None for classic).
+    ``forward`` and ``inverse`` are vectorized callables without domain
+    guards.  ``a`` is the half-width of the bounded side (None for classic).
     """
 
     name: str
@@ -59,32 +47,6 @@ class Homeomorphism:
 
     def __post_init__(self) -> None:
         _validate(self)
-
-    @property
-    def forward_domain(self) -> tuple[float, float]:
-        if self.kind is Kind.SINGULAR:
-            return (-self.a, self.a)
-        return (-math.inf, math.inf)
-
-    @property
-    def inverse_domain(self) -> tuple[float, float]:
-        if self.kind is Kind.BOUNDED:
-            return (-self.a, self.a)
-        return (-math.inf, math.inf)
-
-    def apply(self, y: float) -> float:
-        """phi(y), rejecting arguments within EPS_DOM of a singular boundary."""
-        lo, hi = self.forward_domain
-        if self.kind is Kind.SINGULAR and abs(y) > self.a - EPS_DOM:
-            raise DomainViolation(y, lo, hi)
-        return float(self.forward(y))
-
-    def apply_inverse(self, x: float) -> float:
-        """phi^{-1}(x), rejecting arguments within EPS_DOM of the range edge."""
-        lo, hi = self.inverse_domain
-        if self.kind is Kind.BOUNDED and abs(x) > self.a - EPS_DOM:
-            raise DomainViolation(x, lo, hi)
-        return float(self.inverse(x))
 
     def config_string(self) -> str:
         if self.params:

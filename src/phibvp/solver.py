@@ -19,6 +19,7 @@ from __future__ import annotations
 import enum
 import logging
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import scipy.optimize
@@ -29,7 +30,6 @@ from .function_space import (
     GridFunction,
     cumulative_integral_from_0,
     l1_norm,
-    norms,
     sup_norm,
     zero_function,
 )
@@ -78,7 +78,6 @@ class ProblemSpec:
     T: float
     grid_n: int = 1001
     tol_fp: float = 1e-10
-    tol_res: float = 1e-4
     max_iter: int = 10_000
     lambda_step: float = 0.1
     theta0: float = 1.0
@@ -94,6 +93,8 @@ class ProblemSpec:
             raise ValueError(f"T must be positive, got {self.T}")
         if self.grid_n < 2:
             raise ValueError("grid_n must be at least 2")
+        if not (self.tol_fp > 0 and np.isfinite(self.tol_fp)):
+            raise ValueError(f"tol must be positive and finite, got {self.tol_fp}")
         if not 0.0 < self.lambda_step <= 1.0:
             raise ValueError("lambda_step must lie in (0, 1]")
         if self.method not in ("auto", "picard"):
@@ -160,13 +161,14 @@ def apply_fixed_point_map(spec: ProblemSpec, w: GridFunction,
     return classic_threepoint_map(spec.phi, spec.f, w, lam)
 
 
-def _fp_distance(aw: GridFunction, bw: GridFunction) -> float:
-    """Integral norm of the u-component gap; the convergence metric."""
-    return l1_norm(aw.grid, np.abs(aw.u - bw.u))
-
-
-def _fp_scale(w: GridFunction) -> float:
-    return 1.0 + norms(w).l1
+def _fp_gap(spec: ProblemSpec, w: GridFunction,
+            lam: float) -> tuple[GridFunction, float, bool]:
+    """The one convergence test: M_lam(w), the integral norm of the
+    u-component gap w.u - M_lam(w).u, and whether that gap meets
+    tol_fp * (1 + integral norm of w.u)."""
+    mw = apply_fixed_point_map(spec, w, lam)
+    r = l1_norm(w.grid, w.u - mw.u)
+    return mw, r, r <= spec.tol_fp * (1.0 + l1_norm(w.grid, w.u))
 
 
 def _blend(aw: GridFunction, bw: GridFunction, theta: float) -> GridFunction:
@@ -191,13 +193,12 @@ def _picard_stage(spec: ProblemSpec, lam: float, u: GridFunction,
     best_u = u
     for k in range(1, spec.max_iter + 1):
         try:
-            w = apply_fixed_point_map(spec, u, lam)
+            w, r, ok = _fp_gap(spec, u, lam)
         except EvalDomainError:
             if first_stage and k == 1:
                 raise  # a fault at the start point is a problem-definition fault
             return _StageResult(best_u, k, False, best_r)
-        r = _fp_distance(u, w)
-        if r <= spec.tol_fp * _fp_scale(u):
+        if ok:
             return _StageResult(u, k, True, r)
         if r < best_r:
             best_r = r
@@ -232,9 +233,7 @@ def _newton_stage(spec: ProblemSpec, lam: float, u: GridFunction) -> _StageResul
         # EvalDomainError is a ValueError; any of these means the pass failed
         return _StageResult(u, evals, False, np.inf)
     out = GridFunction(grid, z[:n], z[n:])
-    w = apply_fixed_point_map(spec, out, lam)
-    r = _fp_distance(out, w)
-    ok = r <= spec.tol_fp * _fp_scale(out)
+    _, r, ok = _fp_gap(spec, out, lam)
     return _StageResult(out, evals, ok, r)
 
 
@@ -284,10 +283,9 @@ def omega_margin(spec: ProblemSpec, w: GridFunction) -> float | None:
 def _build_report(spec: ProblemSpec, u: GridFunction,
                   path: list[tuple[float, int]], method: str) -> SolveReport:
     try:
-        w = apply_fixed_point_map(spec, u, 1.0)
-        fp_res = _fp_distance(u, w)
+        _, fp_res, fp_ok = _fp_gap(spec, u, 1.0)
     except (AdmissibilityViolation, EvalDomainError):
-        fp_res = np.inf
+        fp_res, fp_ok = np.inf, False
     try:
         margin = omega_margin(spec, u)
     except EvalDomainError:
@@ -296,14 +294,13 @@ def _build_report(spec: ProblemSpec, u: GridFunction,
         ode_res = ode_residual(spec.phi, spec.f, u)
     except EvalDomainError:
         ode_res = np.inf
-    converged = (fp_res <= spec.tol_fp * _fp_scale(u)
-                 and bc_residual(spec.problem, u) <= BC_RESIDUAL_TOL)
+    bc_res = bc_residual(spec.problem, u)
     return SolveReport(
         solution=u,
-        converged=converged,
+        converged=fp_ok and bc_res <= BC_RESIDUAL_TOL,
         fp_residual=fp_res,
         ode_residual=ode_res,
-        bc_residual=bc_residual(spec.problem, u),
+        bc_residual=bc_res,
         omega_margin=margin,
         lambda_path=tuple(path),
         method=method,
@@ -322,17 +319,20 @@ def solve(spec: ProblemSpec) -> SolveReport:
     u = zero_function(grid)
     path: list[tuple[float, int]] = []
     method = "picard"
-    lam_step = spec.lambda_step
-    lam_done = 0.0
+    # exact rational arithmetic on the step as written, so that lambda is
+    # k * step rounded once (0.3, not 0.30000000000000004), halving stays
+    # exact and the last stage is exactly 1
+    lam_step = Fraction(str(float(spec.lambda_step)))
+    lam_done = Fraction(0)
     first = True
     single_pass = spec.problem is ProblemClass.THREEPOINT_SINGULAR
     while True:
-        lam = 1.0 if single_pass else min(1.0, lam_done + lam_step)
+        lam = 1.0 if single_pass else float(min(1, lam_done + lam_step))
         try:
             st = _picard_stage(spec, lam, u, first)
         except AdmissibilityViolation:
-            if not single_pass and lam_step / 2.0 >= _LAMBDA_STEP_MIN:
-                lam_step /= 2.0
+            if not single_pass and lam_step / 2 >= _LAMBDA_STEP_MIN:
+                lam_step /= 2
                 continue
             raise
         first = False
@@ -349,9 +349,9 @@ def solve(spec: ProblemSpec) -> SolveReport:
         if not st.converged:
             report = _build_report(spec, u, path, method)
             raise NonConvergence(st.best_residual, report.iterations, report)
-        lam_done = lam
-        if single_pass or lam_done >= 1.0:
+        if single_pass or lam == 1.0:
             break
+        lam_done += lam_step
 
     report = _build_report(spec, u, path, method)
     if not report.converged:

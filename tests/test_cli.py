@@ -10,6 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from phibvp import (ProblemClass, ProblemSpec, make_homeomorphism,
+                    parse_expr, solve)
 from phibvp.cli import (
     EXIT_BAD_INPUT,
     EXIT_GUARD,
@@ -87,6 +89,20 @@ def test_solve_output_is_byte_identical_across_runs(tmp_path, capsys):
         (tmp_path / "b.solution.csv").read_bytes()
     assert (tmp_path / "a.report.txt").read_bytes() == \
         (tmp_path / "b.report.txt").read_bytes()
+
+
+def test_solution_csv_round_trips_bit_for_bit(tmp_path, capsys):
+    path = write(tmp_path, DIRICHLET_BENCH)
+    assert main(["solve", path]) == EXIT_OK
+    t, u, du = np.loadtxt(tmp_path / "prob.solution.csv", delimiter=",",
+                          skiprows=1, usecols=(0, 1, 2), unpack=True)
+    w = solve(ProblemSpec(ProblemClass.DIRICHLET_BOUNDED,
+                          make_homeomorphism("mean_curvature", 1.0),
+                          parse_expr("u - 2"), 0.1)).solution
+    # 17 significant digits reproduce every double exactly
+    assert np.array_equal(t, w.grid.nodes)
+    assert np.array_equal(u, w.u)
+    assert np.array_equal(du, w.du)
 
 
 def test_solve_out_dir(tmp_path, capsys):
@@ -243,6 +259,14 @@ def test_degree_boundary_zero_is_uncertified(tmp_path, capsys):
     assert "winding=undefined" in text
 
 
+@pytest.mark.parametrize("T", ["0", "-1"])
+def test_degree_requires_positive_horizon(tmp_path, capsys, T):
+    path = write(tmp_path, f'f = "exp(v)/2 - 1"\nT = {T}\nrho = 4\n')
+    assert main(["degree", path]) == EXIT_BAD_INPUT
+    assert "T must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "prob.degree.txt").exists()
+
+
 def test_degree_requires_positive_radius(tmp_path, capsys):
     path = write(tmp_path, 'f = "1"\nT = 1\nrho = -2\n')
     assert main(["degree", path]) == EXIT_BAD_INPUT
@@ -282,6 +306,8 @@ def test_bad_input_exit_codes(tmp_path, capsys):
         "problem = dirichlet\nphi = mean_curvature 1\nT = 0.1\nf = \"1 + * 2\"\n",
         "problem = dirichlet\nphi = mean_curvature 1\nT = -1\nf = \"0\"\n",
         "problem = dirichlet\nphi = power 4\nT = 0.1\nf = \"0\"\n",
+        "problem = dirichlet\nphi = mean_curvature 1\nT = 0.1\nf = \"0\"\n"
+        "tol = nan\n",
     ]
     for i, text in enumerate(cases):
         path = write(tmp_path, text, f"bad{i}.txt")

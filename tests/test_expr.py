@@ -1,9 +1,12 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from phibvp.expr import (
+    FUNCTIONS,
     EvalDomainError,
     ParseError,
     UnknownIdentifierError,
@@ -75,6 +78,16 @@ def test_functions():
     assert ev("abs(-3)") == 3.0
     assert ev("tanh(0)") == 0.0
     assert ev("exp(v)/2 - 1", v=math.log(2.0)) == pytest.approx(0.0, abs=1e-16)
+
+
+def test_readme_function_list_is_what_the_parser_accepts():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    match = re.search(r"the constants `pi` and `e`, and\s+`([^`]+)`", readme)
+    assert match is not None
+    listed = match.group(1).split()
+    for name in listed:
+        parse_expr(f"{name}(t)")
+    assert sorted(listed) == sorted(FUNCTIONS)
 
 
 def test_constants():

@@ -4,22 +4,14 @@ import pytest
 from phibvp.function_space import (
     Grid,
     GridFunction,
-    c1_norm,
     consistency_defect,
     cumulative_integral_from_0,
     cumulative_integral_to_T,
-    endpoint_0,
-    endpoint_T,
     integral,
     is_consistent,
     l1_norm,
     mean,
-    min_max,
-    norms,
-    pos_neg_parts,
-    read_csv,
     sup_norm,
-    write_csv,
     zero_function,
 )
 
@@ -96,26 +88,8 @@ def test_mean_of_constant():
 def test_helpers():
     g = Grid(1.0, 5)
     v = np.array([-2.0, -1.0, 0.0, 1.0, 3.0])
-    assert endpoint_0(v) == -2.0
-    assert endpoint_T(v) == 3.0
-    assert min_max(v) == (-2.0, 3.0)
-    p, q = pos_neg_parts(v)
-    assert np.all(p >= 0) and np.all(q >= 0)
-    assert np.allclose(p - q, v)
     assert sup_norm(v) == 3.0
     assert l1_norm(g, np.abs(v)) == pytest.approx(np.trapezoid(np.abs(v), g.nodes))
-
-
-def test_norms_fields():
-    g = Grid(2.0, 201)
-    u = np.sin(g.nodes)
-    du = np.cos(g.nodes)
-    f = GridFunction(g, u, du)
-    nm = norms(f)
-    assert nm.sup == pytest.approx(np.max(np.abs(u)))
-    assert nm.l1 == pytest.approx(np.trapezoid(np.abs(u), g.nodes))
-    assert nm.c1 == pytest.approx(np.max(np.abs(u)) + np.max(np.abs(du)))
-    assert c1_norm(f) == nm.c1
 
 
 def test_consistency_of_exact_pair():
@@ -137,18 +111,3 @@ def test_zero_function():
     z = zero_function(g)
     assert np.all(z.u == 0.0) and np.all(z.du == 0.0)
     assert is_consistent(z)
-
-
-def test_csv_roundtrip(tmp_path):
-    rng = np.random.default_rng(3)
-    g = Grid(0.9, 37)
-    f = GridFunction(g, rng.standard_normal(37), rng.standard_normal(37))
-    path = tmp_path / "f.csv"
-    write_csv(f, path)
-    header = path.read_text().splitlines()[0]
-    assert header == "t,u,du"
-    t, u, du = read_csv(path)
-    # 17 significant digits round-trip doubles exactly
-    assert np.array_equal(t, g.nodes)
-    assert np.array_equal(u, f.u)
-    assert np.array_equal(du, f.du)

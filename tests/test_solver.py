@@ -21,7 +21,7 @@ from phibvp import (
     solve,
 )
 from phibvp.expr import eval_many
-from phibvp.function_space import norms
+from phibvp.function_space import l1_norm
 from phibvp.operators import AdmissibilityViolation
 
 D = ProblemClass.DIRICHLET_BOUNDED
@@ -78,7 +78,8 @@ class TestDirichletBenchmark:
 
     def test_solution_norm_bound(self, report):
         L = 4.0 / 3.0
-        assert norms(report.solution).l1 <= L + L * 0.1 + 1e-6
+        w = report.solution
+        assert l1_norm(w.grid, w.u) <= L + L * 0.1 + 1e-6
 
     def test_solution_is_positive_inside(self, report):
         # max principle for this forcing; frozen max is ~2.5e-3
@@ -143,6 +144,8 @@ class TestClassicBenchmark:
         lams = [lam for lam, _ in report.lambda_path]
         assert lams[-1] == 1.0
         assert all(b >= a for a, b in zip(lams, lams[1:]))
+        # lambda_step 0.1: ten stages at exact tenths, no float drift
+        assert lams == [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]
 
     def test_oracle_agrees_with_analytic_solution(self, report):
         oracle = shooting_oracle(make_spec(C, ("power", 4.0), "exp(v)/2 - 1", 1.0))
@@ -245,7 +248,7 @@ def test_battery_class_invariants(cls, phi_args, f_src, T, res_cap, gap_cap):
         # the singular range confines the derivative below the pole
         assert np.max(np.abs(w.du)) < spec.phi.params[0]
         a = spec.phi.params[0]
-        assert norms(w).l1 < 2.0 * a + a * T
+        assert l1_norm(w.grid, w.u) < 2.0 * a + a * T
     else:
         # at a fixed point the mean load must vanish, else the two
         # derivative endpoint conditions cannot both hold
@@ -276,6 +279,15 @@ def test_oversized_forcing_raises_admissibility_guard():
         solve(make_spec(D, ("mean_curvature", 1.0), "40", 0.3))
 
 
+def test_halved_lambda_path_stays_exact():
+    # a stiff load leaves the admissible set at large steps, so the step
+    # 0.9 is halved twice; every lambda is an exact multiple of the step
+    report = solve(make_spec(D, ("mean_curvature", 1.0), "1000*u - 2", 0.3,
+                             lambda_step=0.9))
+    lams = [lam for lam, _ in report.lambda_path]
+    assert lams == [0.225, 0.45, 0.675, 0.7875, 0.9, 1.0]
+
+
 def test_problem_class_requires_matching_phi():
     with pytest.raises(ValueError):
         make_spec(D, ("power", 4.0), "u - 2", 0.1)
@@ -294,3 +306,6 @@ def test_problem_spec_validation():
         make_spec(D, ("mean_curvature", 1.0), "u - 2", 0.1, lambda_step=0.0)
     with pytest.raises(ValueError):
         make_spec(D, ("mean_curvature", 1.0), "u - 2", 0.1, method="bisect")
+    for tol in (float("nan"), 0.0, -1e-10, float("inf")):
+        with pytest.raises(ValueError):
+            make_spec(D, ("mean_curvature", 1.0), "u - 2", 0.1, tol_fp=tol)
