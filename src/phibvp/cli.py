@@ -269,6 +269,10 @@ def cmd_check(args) -> int:
         winding_ok = True
     else:
         prob.require("c", "m1", "m2")
+        # rho <= 0 (the default) means: use the certificate's rho_min
+        rho = prob.number("rho", 0.0)
+        if not np.isfinite(rho):
+            raise ProblemFileError(prob.path, 0, f"rho must be finite, got {rho!r}")
         cert = check_signs(phi, f, prob.number("m1"), prob.number("m2"),
                            prob.expr("c"), T)
         text = cert.report_text()
@@ -276,7 +280,7 @@ def cmd_check(args) -> int:
         if cert.verdict.passed:
             # the sign bounds only certify existence together with a
             # nonzero degree of the planar map on the derived disk
-            rho = max(prob.number("rho", 0.0), cert.rho_min)
+            rho = max(rho, cert.rho_min)
             try:
                 deg = brouwer_degree(f, T, rho)
             except BoundaryZero as exc:
@@ -321,8 +325,9 @@ def cmd_degree(args) -> int:
     f = prob.expr("f")
     T = prob.number("T")
     rho = prob.number("rho")
-    if rho <= 0:
-        raise ProblemFileError(prob.path, 0, f"rho must be positive, got {rho!r}")
+    if not (rho > 0 and np.isfinite(rho)):
+        raise ProblemFileError(prob.path, 0,
+                               f"rho must be positive and finite, got {rho!r}")
     base = _out_base(prob.path, args.out_dir)
     try:
         result = brouwer_degree(f, T, rho)

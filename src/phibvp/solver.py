@@ -5,8 +5,12 @@ shooting oracle.
 damping and (for the Dirichlet and classic classes) a homotopy parameter
 continued from 0 to 1.  Where plain iteration provably cannot converge
 (the classic map has expanding directions whenever df/du' > 0 along the
-solution), a Newton-Krylov pass on the fixed-point residual takes over;
-this is reported in ``SolveReport.method`` and never happens silently.
+solution), a Newton-Krylov pass on the fixed-point residual takes over.
+The handoff happens as soon as a stage stalls, when its best residual has
+not halved (``_STALL_FACTOR``) in ``_STALL_WINDOW`` = 50 iterations, not
+after the whole ``max_iter`` budget.  It is reported in
+``SolveReport.method`` and logged with its reason; it never happens
+silently.
 
 ``shooting_oracle`` solves the same problem by a genuinely different
 discretization: RK4 time stepping of the first-order system in
@@ -47,6 +51,10 @@ log = logging.getLogger(__name__)
 BC_RESIDUAL_TOL = 1e-8
 _LAMBDA_STEP_MIN = 1e-3
 _THETA_MIN = 1e-3
+# a Picard stage has stalled when its best residual has not dropped to
+# _STALL_FACTOR times the last marked best within _STALL_WINDOW iterations
+_STALL_WINDOW = 50
+_STALL_FACTOR = 0.5
 _DIVERGENCE_CAP = 1e8
 
 
@@ -68,8 +76,10 @@ class ProblemSpec:
     """A boundary value problem instance plus solver knobs.
 
     method: "auto" runs damped fixed-point iteration and falls back to
-    Newton-Krylov on the residual if a homotopy stage stalls; "picard"
-    disables the fallback and reports non-convergence instead.
+    Newton-Krylov on the residual if a homotopy stage stalls (its best
+    residual does not halve in 50 iterations) or fails; "picard" disables
+    the fallback, spends the whole max_iter budget on every stage and
+    reports non-convergence instead.
     """
 
     problem: ProblemClass
@@ -95,8 +105,9 @@ class ProblemSpec:
             raise ValueError("grid_n must be at least 2")
         if not (self.tol_fp > 0 and np.isfinite(self.tol_fp)):
             raise ValueError(f"tol must be positive and finite, got {self.tol_fp}")
-        if not 0.0 < self.lambda_step <= 1.0:
-            raise ValueError("lambda_step must lie in (0, 1]")
+        if not _LAMBDA_STEP_MIN <= self.lambda_step <= 1.0:
+            raise ValueError(f"lambda_step must lie in [{_LAMBDA_STEP_MIN:g}, 1], "
+                             f"got {self.lambda_step!r}")
         if self.method not in ("auto", "picard"):
             raise ValueError(f"unknown method {self.method!r}")
 
@@ -136,8 +147,9 @@ class SolveReport:
 
 
 class NonConvergence(Exception):
-    """Iteration exhausted its budget.  Existence is not disproved; the
-    attached report carries the best iterate and its diagnostics."""
+    """A stage converged neither by iteration nor by Newton-Krylov.
+    Existence is not disproved; the attached report carries the best
+    iterate and its diagnostics."""
 
     def __init__(self, best_residual: float, iterations: int, report: SolveReport):
         self.best_residual = best_residual
@@ -183,6 +195,9 @@ class _StageResult:
     iterations: int
     converged: bool
     best_residual: float
+    # why the stage ended: converged, stalled, budget, diverged or
+    # domain_fault (Picard); converged or failed (Newton-Krylov)
+    reason: str
 
 
 def _picard_stage(spec: ProblemSpec, lam: float, u: GridFunction,
@@ -191,25 +206,32 @@ def _picard_stage(spec: ProblemSpec, lam: float, u: GridFunction,
     prev_r = np.inf
     best_r = np.inf
     best_u = u
+    # best residual at the last halving, and the iteration it happened in
+    mark_r = np.inf
+    mark_k = 0
     for k in range(1, spec.max_iter + 1):
         try:
             w, r, ok = _fp_gap(spec, u, lam)
         except EvalDomainError:
             if first_stage and k == 1:
                 raise  # a fault at the start point is a problem-definition fault
-            return _StageResult(best_u, k, False, best_r)
+            return _StageResult(best_u, k, False, best_r, "domain_fault")
         if ok:
-            return _StageResult(u, k, True, r)
+            return _StageResult(u, k, True, r, "converged")
         if r < best_r:
             best_r = r
             best_u = u
+        if best_r <= _STALL_FACTOR * mark_r:
+            mark_r, mark_k = best_r, k
         if not np.isfinite(r) or r > _DIVERGENCE_CAP:
-            return _StageResult(best_u, k, False, best_r)
+            return _StageResult(best_u, k, False, best_r, "diverged")
+        if spec.method == "auto" and k - mark_k >= _STALL_WINDOW:
+            return _StageResult(best_u, k, False, best_r, "stalled")
         theta = max(theta / 2.0, _THETA_MIN) if r > prev_r \
             else min(theta * 1.2, 1.0)
         prev_r = r
         u = _blend(u, w, theta)
-    return _StageResult(best_u, spec.max_iter, False, best_r)
+    return _StageResult(best_u, spec.max_iter, False, best_r, "budget")
 
 
 def _newton_stage(spec: ProblemSpec, lam: float, u: GridFunction) -> _StageResult:
@@ -231,10 +253,10 @@ def _newton_stage(spec: ProblemSpec, lam: float, u: GridFunction) -> _StageResul
         z = scipy.optimize.newton_krylov(residual, z0, f_tol=f_tol, maxiter=100)
     except (scipy.optimize.NoConvergence, ValueError, AdmissibilityViolation):
         # EvalDomainError is a ValueError; any of these means the pass failed
-        return _StageResult(u, evals, False, np.inf)
+        return _StageResult(u, evals, False, np.inf, "failed")
     out = GridFunction(grid, z[:n], z[n:])
     _, r, ok = _fp_gap(spec, out, lam)
-    return _StageResult(out, evals, ok, r)
+    return _StageResult(out, evals, ok, r, "converged" if ok else "failed")
 
 
 def ode_residual_samples(phi: Homeomorphism, f: Expr, w: GridFunction) -> np.ndarray:
@@ -308,12 +330,22 @@ def _build_report(spec: ProblemSpec, u: GridFunction,
     )
 
 
+def _handoff_reason(st: _StageResult, lam: float) -> str:
+    """Why a Picard stage handed off to Newton-Krylov, for the log."""
+    if st.reason == "stalled":
+        return (f"stalled at lambda={lam:g} (best residual {st.best_residual:g} "
+                f"not halved in {_STALL_WINDOW} iterations)")
+    return (f"stopped at lambda={lam:g} ({st.reason} after {st.iterations} "
+            f"iterations, best residual {st.best_residual:g})")
+
+
 def solve(spec: ProblemSpec) -> SolveReport:
     """Iterate the fixed-point map to tolerance and return diagnostics.
 
-    Raises NonConvergence (with the diagnostic report attached) when the
-    iteration budget runs out, and AdmissibilityViolation when even the
-    smallest homotopy step leaves the Dirichlet map's admissible set.
+    Raises NonConvergence (with the diagnostic report attached) when a
+    stage converges neither by iteration nor by Newton-Krylov, and
+    AdmissibilityViolation when even the smallest homotopy step leaves the
+    Dirichlet map's admissible set.
     """
     grid = Grid(spec.T, spec.grid_n)
     u = zero_function(grid)
@@ -337,12 +369,12 @@ def solve(spec: ProblemSpec) -> SolveReport:
             raise
         first = False
         if not st.converged and spec.method == "auto":
-            log.warning("fixed-point iteration stalled at lambda=%g "
-                        "(best residual %g); switching to Newton-Krylov",
-                        lam, st.best_residual)
+            log.warning("fixed-point iteration %s; switching to Newton-Krylov",
+                        _handoff_reason(st, lam))
             nst = _newton_stage(spec, lam, st.u)
             st = _StageResult(nst.u, st.iterations + nst.iterations,
-                              nst.converged, min(st.best_residual, nst.best_residual))
+                              nst.converged, min(st.best_residual, nst.best_residual),
+                              nst.reason)
             method = "picard+newton"
         path.append((lam, st.iterations))
         u = st.u

@@ -273,6 +273,17 @@ def test_degree_requires_positive_radius(tmp_path, capsys):
     assert "rho must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cmd", ["check", "degree"])
+@pytest.mark.parametrize("rho", ["nan", "inf"])
+def test_non_finite_radius_is_bad_input(tmp_path, capsys, cmd, rho):
+    path = write(tmp_path, CLASSIC_BENCH.replace("rho = 0", f"rho = {rho}"))
+    assert main([cmd, path]) == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert "rho must be" in err
+    assert "non-finite result" not in err  # blames the radius, not f
+    assert not list(tmp_path.glob("prob.*.txt"))
+
+
 # ----------------------------------------------------------- problem files
 
 
@@ -308,6 +319,8 @@ def test_bad_input_exit_codes(tmp_path, capsys):
         "problem = dirichlet\nphi = power 4\nT = 0.1\nf = \"0\"\n",
         "problem = dirichlet\nphi = mean_curvature 1\nT = 0.1\nf = \"0\"\n"
         "tol = nan\n",
+        "problem = dirichlet\nphi = mean_curvature 1\nT = 0.1\nf = \"0\"\n"
+        "lambda_step = 1e-9\n",
     ]
     for i, text in enumerate(cases):
         path = write(tmp_path, text, f"bad{i}.txt")

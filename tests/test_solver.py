@@ -167,6 +167,21 @@ class TestClassicBenchmark:
             solve(make_spec(C, ("power", 4.0), "exp(v)/2 - 1", 1.0))
         assert any("Newton" in rec.message for rec in caplog.records)
 
+    def test_fallback_names_the_stall(self, caplog):
+        with caplog.at_level(logging.WARNING, logger="phibvp.solver"):
+            solve(make_spec(C, ("power", 4.0), "exp(v)/2 - 1", 1.0))
+        msgs = [rec.message for rec in caplog.records if "Newton" in rec.message]
+        assert len(msgs) == 1
+        assert "stalled at lambda=0.1" in msgs[0]
+        assert "not halved in 50 iterations" in msgs[0]
+
+    def test_stall_hands_off_early(self, report):
+        # plain iteration cannot converge here, so the first stage must
+        # hand off once it stalls, not spend its 10,000-iteration budget
+        lam, map_calls = report.lambda_path[0]
+        assert lam == 0.1
+        assert map_calls <= 200
+
 
 def test_singular_closed_form():
     # phi(y) = y / sqrt(1 - y^2), f = 1: integrating once gives
@@ -235,6 +250,14 @@ def test_battery_fixed_point_vs_shooting(cls, phi_args, f_src, T, res_cap, gap_c
     fine = make_spec(cls, phi_args, f_src, T, tol_fp=1e-13, grid_n=2001)
     ratio = report.ode_residual / solve(fine).ode_residual
     assert ratio >= 1.8  # measured 3.5 to 4.0
+
+
+@pytest.mark.parametrize("cls,phi_args,f_src,T,res_cap,gap_cap",
+                         BATTERY, ids=BATTERY_IDS)
+def test_battery_needs_no_newton_stage(cls, phi_args, f_src, T, res_cap, gap_cap):
+    # the stall rule must never fire on a problem that plain iteration solves
+    spec = make_spec(cls, phi_args, f_src, T, tol_fp=1e-13)
+    assert solve(spec).method == "picard"
 
 
 @pytest.mark.parametrize("cls,phi_args,f_src,T,res_cap,gap_cap",
@@ -309,3 +332,8 @@ def test_problem_spec_validation():
     for tol in (float("nan"), 0.0, -1e-10, float("inf")):
         with pytest.raises(ValueError):
             make_spec(D, ("mean_curvature", 1.0), "u - 2", 0.1, tol_fp=tol)
+    # below the halving floor 1e-3 a solve would run ~1/step stages
+    for step in (1e-9, 5e-4, float("nan")):
+        with pytest.raises(ValueError):
+            make_spec(D, ("mean_curvature", 1.0), "u - 2", 0.1, lambda_step=step)
+    make_spec(D, ("mean_curvature", 1.0), "u - 2", 0.1, lambda_step=1e-3)
