@@ -60,19 +60,14 @@ class InconsistentDerivative(Exception):
 @dataclass(frozen=True)
 class SampleBox:
     """Sampling ranges: t in [0, T], u in [-x_max, x_max], v in
-    [-y_max, y_max], with the per-axis sample counts."""
+    [-y_max, y_max], each sampled at DEFAULT_SAMPLES points."""
 
     x_max: float
     y_max: float
-    nt: int = DEFAULT_SAMPLES
-    nx: int = DEFAULT_SAMPLES
-    ny: int = DEFAULT_SAMPLES
 
     def __post_init__(self) -> None:
-        if not (self.x_max > 0 and self.y_max > 0):
-            raise ValueError("box half-widths must be positive")
-        if min(self.nt, self.nx, self.ny) < 2:
-            raise ValueError("need at least 2 samples per axis")
+        if not (0 < self.x_max < math.inf and 0 < self.y_max < math.inf):
+            raise ValueError("box half-widths must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -108,7 +103,7 @@ def _report_text(kind: str, verdict: Verdict,
     lines += [f"{key}={_fmt(value)}" for key, value in fields]
     if box is not None:
         lines += [f"box_x={_fmt(box.x_max)}", f"box_y={_fmt(box.y_max)}",
-                  f"samples={box.nt}x{box.nx}x{box.ny}"]
+                  f"samples={DEFAULT_SAMPLES}x{DEFAULT_SAMPLES}x{DEFAULT_SAMPLES}"]
     if verdict.witness is not None:
         lines += [f"witness_{axis}={_fmt(value)}"
                   for axis, value in zip("txy", verdict.witness)]
@@ -178,9 +173,8 @@ def check_growth(phi: Homeomorphism, f: Expr, h: Expr, n: Expr, dn: Expr,
     _check_vars(h, frozenset({"t"}), "h")
     _check_vars(n, frozenset({"u"}), "n")
     _check_vars(dn, frozenset({"u"}), "dn")
-    nt = box.nt if box is not None else DEFAULT_SAMPLES
 
-    tgrid = Grid(T, nt)
+    tgrid = Grid(T, DEFAULT_SAMPLES)
     ts = tgrid.nodes
     zeros_t = np.zeros_like(ts)
     h_vals = eval_many(h, ts, zeros_t, zeros_t)
@@ -199,10 +193,6 @@ def check_growth(phi: Homeomorphism, f: Expr, h: Expr, n: Expr, dn: Expr,
     if box is None:
         half = max(10.0, 2.0 * c1_bound)
         box = SampleBox(half, half)
-        tgrid = Grid(T, box.nt)
-        ts = tgrid.nodes
-        zeros_t = np.zeros_like(ts)
-        h_vals = eval_many(h, ts, zeros_t, zeros_t)
 
     _probe_derivative(n, dn, box.x_max)
 
@@ -222,8 +212,8 @@ def check_growth(phi: Homeomorphism, f: Expr, h: Expr, n: Expr, dn: Expr,
         return done(Verdict("failed_at", (math.nan, 0.0, math.nan),
                             f"n(0) = {n_at_0!r} != 0"))
 
-    xs = np.linspace(-box.x_max, box.x_max, box.nx)
-    ys = np.linspace(-box.y_max, box.y_max, box.ny)
+    xs = np.linspace(-box.x_max, box.x_max, DEFAULT_SAMPLES)
+    ys = np.linspace(-box.y_max, box.y_max, DEFAULT_SAMPLES)
     zeros_x = np.zeros_like(xs)
     n_vals = eval_many(n, zeros_x, xs, zeros_x)
     dn_vals = eval_many(dn, zeros_x, xs, zeros_x)
@@ -264,33 +254,29 @@ def check_signs(phi: Homeomorphism, f: Expr, m1: float, m2: float, c: Expr,
     """
     if phi.kind is not Kind.CLASSIC:
         raise ValueError("sign certificates need a phi onto all of R")
+    for name, m in (("m1", m1), ("m2", m2)):
+        if not math.isfinite(m):
+            raise ValueError(f"{name} must be finite, got {m!r}")
     if not m1 < m2:
         raise ValueError(f"need m1 < m2, got {m1!r} >= {m2!r}")
     _check_vars(c, frozenset({"t"}), "c")
 
     L = max(abs(float(phi.forward(m1))), abs(float(phi.forward(m2))))
 
-    def derive(nt: int) -> tuple[float, float, float]:
-        tg = Grid(T, nt)
-        cv = eval_many(c, tg.nodes, np.zeros(nt), np.zeros(nt))
-        cneg = integral(tg, np.maximum(-cv, 0.0))
-        rr = max(abs(float(phi.inverse(L + 2.0 * cneg))),
-                 abs(float(phi.inverse(-L - 2.0 * cneg))))
-        return cneg, rr, rr * (2.0 + T)
-
-    if box is None:
-        c_neg_l1, r, rho_min = derive(DEFAULT_SAMPLES)
-        half = max(10.0, 2.0 * (r + r * T))
-        box = SampleBox(half, half)
-    else:
-        c_neg_l1, r, rho_min = derive(box.nt)
-
-    tgrid = Grid(T, box.nt)
+    tgrid = Grid(T, DEFAULT_SAMPLES)
     ts = tgrid.nodes
     c_vals = eval_many(c, ts, np.zeros_like(ts), np.zeros_like(ts))
-    xs = np.linspace(-box.x_max, box.x_max, box.nx)
+    c_neg_l1 = integral(tgrid, np.maximum(-c_vals, 0.0))
+    r = max(abs(float(phi.inverse(L + 2.0 * c_neg_l1))),
+            abs(float(phi.inverse(-L - 2.0 * c_neg_l1))))
+    rho_min = r * (2.0 + T)
+    if box is None:
+        half = max(10.0, 2.0 * (r + r * T))
+        box = SampleBox(half, half)
+
+    xs = np.linspace(-box.x_max, box.x_max, DEFAULT_SAMPLES)
     ys = np.unique(np.concatenate(
-        [np.linspace(-box.y_max, box.y_max, box.ny), [m1, m2]]))
+        [np.linspace(-box.y_max, box.y_max, DEFAULT_SAMPLES), [m1, m2]]))
     upper = ys >= m2
     lower = ys <= m1
 
@@ -326,27 +312,26 @@ def check_signs(phi: Homeomorphism, f: Expr, m1: float, m2: float, c: Expr,
 
 # --------------------------------------------------------------- degree part
 
+# odd, as composite Simpson needs
 SIMPSON_N = 201
+# bisections of one boundary arc before the winding number gives up on it
+_MAX_DEPTH = 20
 
 
 def _simpson(vals: np.ndarray, length: float) -> float:
-    n = vals.shape[-1]
-    if n < 3 or n % 2 == 0:
-        raise ValueError("composite Simpson needs an odd sample count >= 3")
-    h = length / (n - 1)
+    h = length / (vals.shape[-1] - 1)
     return float((h / 3.0) * (vals[..., 0] + vals[..., -1]
                               + 4.0 * vals[..., 1:-1:2].sum(axis=-1)
                               + 2.0 * vals[..., 2:-1:2].sum(axis=-1)))
 
 
-def planar_map(f: Expr, T: float, a: float, b: float,
-               simpson_n: int = SIMPSON_N) -> tuple[float, float]:
+def planar_map(f: Expr, T: float, a: float, b: float) -> tuple[float, float]:
     """The planar map whose zeros are the affine pre-solutions.
 
     (a, b) -> (a*T + b*T^2 - b*T - (1/T) * integral_0^T f(t, a+b*t, b) dt,
                b - a - b*T).
     """
-    ts = np.linspace(0.0, T, simpson_n)
+    ts = np.linspace(0.0, T, SIMPSON_N)
     vals = eval_many(f, ts, a + b * ts, np.full_like(ts, b))
     integ = _simpson(vals, T)
     g1 = a * T + b * T * T - b * T - integ / T
@@ -370,12 +355,12 @@ class DegreeResult:
                 f"boundary_samples={self.boundary_samples}\n")
 
 
-def winding_number(map_fn, rho: float, n_start: int = 256,
-                   max_depth: int = 20) -> DegreeResult:
+def winding_number(map_fn, rho: float, n_start: int = 256) -> DegreeResult:
     """Winding number of s -> map_fn(rho cos s, rho sin s) around 0.
 
     Starts from n_start uniform boundary samples and bisects every arc
-    whose angle increment exceeds pi/2, up to max_depth.  Raises
+    whose angle increment exceeds pi/2, at most _MAX_DEPTH times; an arc
+    still unresolved there raises BoundaryZero.  Also raises
     BoundaryZero when any evaluated sample comes within 1e-9 * scale of
     the origin (scale = largest initial sample norm).
     """
@@ -405,7 +390,7 @@ def winding_number(map_fn, rho: float, n_start: int = 256,
         delta -= 2.0 * math.pi * round(delta / (2.0 * math.pi))
         if abs(delta) <= 0.5 * math.pi:
             return delta
-        if depth >= max_depth:
+        if depth >= _MAX_DEPTH:
             raise BoundaryZero(rho, state["min_norm"], state["scale"])
         state["depth"] = max(state["depth"], depth + 1)
         mid = 0.5 * (th1 + th2)
@@ -436,17 +421,15 @@ def _check_horizon(T: float) -> None:
         raise ValueError(f"T must be positive and finite, got {T!r}")
 
 
-def brouwer_degree(f: Expr, T: float, rho: float, n_start: int = 256,
-                   simpson_n: int = SIMPSON_N) -> DegreeResult:
+def brouwer_degree(f: Expr, T: float, rho: float,
+                   n_start: int = 256) -> DegreeResult:
     """Degree of the planar map on the disk of radius rho, via winding."""
     _check_horizon(T)
-    return winding_number(
-        lambda a, b: planar_map(f, T, a, b, simpson_n=simpson_n),
-        rho, n_start=n_start)
+    return winding_number(lambda a, b: planar_map(f, T, a, b), rho,
+                          n_start=n_start)
 
 
-def newton_sign_sum(f: Expr, T: float, rho: float, starts_per_axis: int = 16,
-                    simpson_n: int = SIMPSON_N):
+def newton_sign_sum(f: Expr, T: float, rho: float, starts_per_axis: int = 16):
     """Independent degree estimate: sum of Jacobian-determinant signs over
     the distinct zeros of the planar map inside the disk, found by damped
     Newton from a starts_per_axis^2 grid.
@@ -459,8 +442,7 @@ def newton_sign_sum(f: Expr, T: float, rho: float, starts_per_axis: int = 16,
     delta = 1e-7 * max(1.0, rho)
 
     def G(p: np.ndarray) -> np.ndarray:
-        return np.array(planar_map(f, T, float(p[0]), float(p[1]),
-                                   simpson_n=simpson_n))
+        return np.array(planar_map(f, T, float(p[0]), float(p[1])))
 
     def jac(p: np.ndarray) -> np.ndarray:
         g0 = G(p)

@@ -48,7 +48,6 @@ KNOWN_KEYS = frozenset({
     "m1", "m2", "rho", "lambda_step", "tol",
 })
 
-_EXPR_KEYS = frozenset({"f", "h", "n", "dn", "c"})
 _EXPR_VARS = {
     "f": frozenset({"t", "u", "v"}),
     "h": frozenset({"t"}),

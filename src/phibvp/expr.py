@@ -165,7 +165,11 @@ class _Parser:
     def atom(self) -> Expr:
         tok = self.advance()
         if tok.kind == "num":
-            return Num(float(tok.text))
+            value = float(tok.text)
+            if math.isinf(value):
+                # to_string could not print it back as a literal
+                raise ParseError(f"number {tok.text!r} overflows", tok.pos)
+            return Num(value)
         if tok.kind == "ident":
             name = tok.text
             if name in VARIABLES:

@@ -8,7 +8,7 @@ continued from 0 to 1.  Where plain iteration provably cannot converge
 solution), a Newton-Krylov pass on the fixed-point residual takes over.
 The handoff happens as soon as a stage stalls, when its best residual has
 not halved (``_STALL_FACTOR``) in ``_STALL_WINDOW`` = 50 iterations, not
-after the whole ``max_iter`` budget.  It is reported in
+after the whole ``MAX_ITER`` budget.  It is reported in
 ``SolveReport.method`` and logged with its reason; it never happens
 silently.
 
@@ -49,6 +49,8 @@ from .operators import (
 log = logging.getLogger(__name__)
 
 BC_RESIDUAL_TOL = 1e-8
+# iteration budget of one Picard stage
+MAX_ITER = 10_000
 _LAMBDA_STEP_MIN = 1e-3
 _THETA_MIN = 1e-3
 # a Picard stage has stalled when its best residual has not dropped to
@@ -73,12 +75,13 @@ _REQUIRED_KIND = {
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """A boundary value problem instance plus solver knobs.
+    """A boundary value problem instance plus the solver settings that
+    callers vary: grid size, tolerance, homotopy step and method.
 
     method: "auto" runs damped fixed-point iteration and falls back to
     Newton-Krylov on the residual if a homotopy stage stalls (its best
     residual does not halve in 50 iterations) or fails; "picard" disables
-    the fallback, spends the whole max_iter budget on every stage and
+    the fallback, spends the whole MAX_ITER budget on every stage and
     reports non-convergence instead.
     """
 
@@ -88,9 +91,7 @@ class ProblemSpec:
     T: float
     grid_n: int = 1001
     tol_fp: float = 1e-10
-    max_iter: int = 10_000
     lambda_step: float = 0.1
-    theta0: float = 1.0
     method: str = "auto"
 
     def __post_init__(self) -> None:
@@ -202,14 +203,14 @@ class _StageResult:
 
 def _picard_stage(spec: ProblemSpec, lam: float, u: GridFunction,
                   first_stage: bool) -> _StageResult:
-    theta = spec.theta0
+    theta = 1.0
     prev_r = np.inf
     best_r = np.inf
     best_u = u
     # best residual at the last halving, and the iteration it happened in
     mark_r = np.inf
     mark_k = 0
-    for k in range(1, spec.max_iter + 1):
+    for k in range(1, MAX_ITER + 1):
         try:
             w, r, ok = _fp_gap(spec, u, lam)
         except EvalDomainError:
@@ -231,7 +232,7 @@ def _picard_stage(spec: ProblemSpec, lam: float, u: GridFunction,
             else min(theta * 1.2, 1.0)
         prev_r = r
         u = _blend(u, w, theta)
-    return _StageResult(best_u, spec.max_iter, False, best_r, "budget")
+    return _StageResult(best_u, MAX_ITER, False, best_r, "budget")
 
 
 def _newton_stage(spec: ProblemSpec, lam: float, u: GridFunction) -> _StageResult:

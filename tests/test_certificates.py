@@ -6,6 +6,8 @@ against an independent Newton multistart that counts zeros with orientation
 signs.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -168,11 +170,6 @@ def test_planar_map_no_forcing_is_antidiagonal():
     assert ga == 0.5 and gb == -0.5
 
 
-def test_planar_map_needs_odd_simpson_count():
-    with pytest.raises(ValueError):
-        planar_map(F_CLS, 1.0, 0.0, 0.0, simpson_n=200)
-
-
 # ------------------------------------------------------------------ degree
 
 
@@ -219,6 +216,14 @@ class TestDegree:
         res = winding_number(lambda x, y: (x * x - y * y, 2 * x * y), 1.0)
         assert res.winding == 2
 
+    def test_unresolvable_jump_hits_the_refinement_cap(self):
+        # the map flips direction where y changes sign: no bisection of
+        # that arc brings its angle increment below pi/2
+        with pytest.raises(BoundaryZero) as ei:
+            winding_number(
+                lambda x, y: (1.0, 0.0) if y >= 0 else (-1.0, 0.0), 1.0)
+        assert ei.value.min_norm == 1.0
+
     def test_radius_must_be_positive(self):
         with pytest.raises(ValueError):
             winding_number(lambda x, y: (x, y), 0.0)
@@ -244,7 +249,7 @@ def test_sample_box_validation():
     with pytest.raises(ValueError):
         SampleBox(1.0, -2.0)
     with pytest.raises(ValueError):
-        SampleBox(1.0, 1.0, nt=1)
+        SampleBox(math.inf, 1.0)
 
 
 def test_sample_box_is_frozen():

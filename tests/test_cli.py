@@ -284,6 +284,21 @@ def test_non_finite_radius_is_bad_input(tmp_path, capsys, cmd, rho):
     assert not list(tmp_path.glob("prob.*.txt"))
 
 
+@pytest.mark.parametrize("key,value", [("m1", "-inf"), ("m2", "inf"),
+                                       ("m2", "nan")])
+def test_non_finite_sign_threshold_is_bad_input(tmp_path, capsys, recwarn,
+                                                key, value):
+    default = {"m1": "-1", "m2": "1"}[key]
+    path = write(tmp_path, CLASSIC_BENCH.replace(f"{key} = {default}\n",
+                                                 f"{key} = {value}\n"))
+    assert main(["check", path]) == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert f"{key} must be finite" in err
+    assert "non-finite result" not in err  # blames the threshold, not f
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    assert not list(tmp_path.glob("prob.*.txt"))
+
+
 # ----------------------------------------------------------- problem files
 
 

@@ -118,6 +118,8 @@ MALFORMED_CASES = [
     ("1 $ 2", 2),
     ("sin(1,2)", 5),
     ("2 ^", 3),
+    ("1e999", 0),
+    ("2*1e400", 2),
 ]
 
 

@@ -23,6 +23,7 @@ from phibvp import (
 from phibvp.expr import eval_many
 from phibvp.function_space import l1_norm
 from phibvp.operators import AdmissibilityViolation
+from phibvp.solver import MAX_ITER
 
 D = ProblemClass.DIRICHLET_BOUNDED
 S = ProblemClass.THREEPOINT_SINGULAR
@@ -158,7 +159,7 @@ class TestClassicBenchmark:
             solve(spec)
         exc = ei.value
         assert np.isfinite(exc.best_residual)
-        assert exc.iterations >= spec.max_iter
+        assert exc.iterations >= MAX_ITER
         assert exc.report is not None and not exc.report.converged
         assert "converged=false" in exc.report.report_text()
 
