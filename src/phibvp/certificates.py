@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import Expr, eval_many, variables
+from .expr import EvalDomainError, Expr, eval_many, variables
 from .function_space import Grid, integral
 from .homeomorphism import Homeomorphism, Kind
 
@@ -159,6 +159,22 @@ def _probe_derivative(n: Expr, dn: Expr, x_max: float) -> None:
                                      float(given[worst]))
 
 
+def _f_slice(f: Expr, t: float, xs: np.ndarray, ys: np.ndarray,
+             box: SampleBox, derived: bool) -> np.ndarray:
+    """f at time t on the (x, y) samples, indexed [x, y].  A domain fault
+    of f names its sample point and the box, since a derived box can be
+    far larger than the problem suggests."""
+    try:
+        return eval_many(f, np.full((1, 1), t), xs[:, None], ys[None, :])
+    except EvalDomainError as exc:
+        i, j = exc.index
+        origin = "derived" if derived else "given"
+        raise EvalDomainError(
+            f"f: {exc.fault} at (t, u, v) = ({float(t)!r}, {float(xs[i])!r}, "
+            f"{float(ys[j])!r}) on the {origin} sample box |u| <= "
+            f"{box.x_max!r}, |v| <= {box.y_max!r}") from None
+
+
 def check_growth(phi: Homeomorphism, f: Expr, h: Expr, n: Expr, dn: Expr,
                  T: float, box: SampleBox | None = None) -> GrowthCertificate:
     """Certify the Dirichlet existence hypotheses by grid sampling.
@@ -190,7 +206,8 @@ def check_growth(phi: Homeomorphism, f: Expr, h: Expr, n: Expr, dn: Expr,
     L = max(abs(float(phi.inverse(-2.0 * h_l1))),
             abs(float(phi.inverse(2.0 * h_l1))))
     c1_bound = L + L * T
-    if box is None:
+    derived = box is None
+    if derived:
         half = max(10.0, 2.0 * c1_bound)
         box = SampleBox(half, half)
 
@@ -229,7 +246,7 @@ def check_growth(phi: Homeomorphism, f: Expr, h: Expr, n: Expr, dn: Expr,
 
     # (iv) |f| <= f*n(x) + h(t) + slack on the full box, sliced along t
     for it, t in enumerate(ts):
-        fvals = eval_many(f, np.full((1, 1), t), xs[:, None], ys[None, :])
+        fvals = _f_slice(f, t, xs, ys, box, derived)
         gap = np.abs(fvals) - (fvals * n_vals[:, None] + h_vals[it] + GROWTH_SLACK)
         bad3 = gap > 0.0
         if np.any(bad3):
@@ -270,7 +287,8 @@ def check_signs(phi: Homeomorphism, f: Expr, m1: float, m2: float, c: Expr,
     r = max(abs(float(phi.inverse(L + 2.0 * c_neg_l1))),
             abs(float(phi.inverse(-L - 2.0 * c_neg_l1))))
     rho_min = r * (2.0 + T)
-    if box is None:
+    derived = box is None
+    if derived:
         half = max(10.0, 2.0 * (r + r * T))
         box = SampleBox(half, half)
 
@@ -285,7 +303,7 @@ def check_signs(phi: Homeomorphism, f: Expr, m1: float, m2: float, c: Expr,
                                m1, m2, c_neg_l1, L, None, None, box)
 
     for it, t in enumerate(ts):
-        fvals = eval_many(f, np.full((1, 1), t), xs[:, None], ys[None, :])
+        fvals = _f_slice(f, t, xs, ys, box, derived)
         bad = fvals < c_vals[it] - SIGN_SLACK
         if np.any(bad):
             i, j = np.unravel_index(int(np.argmax(bad)), bad.shape)

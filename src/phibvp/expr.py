@@ -9,8 +9,10 @@ Grammar (precedence climbing, highest first):
 
 Atoms: floating literals, variables t u v, constants pi e, and the
 unary functions sin cos exp log sqrt abs tanh.  ``parse_expr`` returns an
-immutable tree; ``eval_expr`` evaluates at scalars, ``eval_many`` at numpy
-arrays (broadcasting).  Evaluation is pure and deterministic.
+immutable tree; ``eval_many`` evaluates it at numpy arrays (broadcasting),
+and ``eval_expr`` is its 0-d case, at scalars.  There is one evaluator, so
+both report the same domain faults with the same messages.  Evaluation is
+pure and deterministic.
 """
 
 from __future__ import annotations
@@ -46,9 +48,10 @@ class UnknownIdentifierError(ParseError):
 class EvalDomainError(ValueError):
     """Evaluation hit a domain fault (log of non-positive, division by
     zero, ...).  ``index`` locates the first offending sample in array
-    evaluation, None for scalars."""
+    evaluation, None for scalars; ``fault`` is the message without it."""
 
     def __init__(self, message: str, index=None):
+        self.fault = message
         self.index = index
         where = f" at sample index {index}" if index is not None else ""
         super().__init__(message + where)
@@ -212,86 +215,44 @@ def variables(e: Expr) -> frozenset[str]:
 
 # ---------------------------------------------------------------- evaluation
 
-_SCALAR_FUNCS = {
-    "sin": math.sin, "cos": math.cos, "exp": math.exp,
-    "sqrt": math.sqrt, "abs": abs, "tanh": math.tanh, "log": math.log,
+# domain of each function that has one: the mask of faulting arguments and
+# the fault's message; every other name in FUNCTIONS is total
+_DOMAIN_FAULTS = {
+    "log": (lambda x: x <= 0.0, "log of non-positive value"),
+    "sqrt": (lambda x: x < 0.0, "sqrt of negative value"),
 }
 
 
-def eval_expr(e: Expr, t: float, u: float, v: float) -> float:
-    """Evaluate at scalar inputs; raises EvalDomainError on domain faults."""
-    env = {"t": t, "u": u, "v": v}
-
-    def rec(node) -> float:
-        if isinstance(node, Num):
-            return node.value
-        if isinstance(node, Var):
-            return float(env[node.name])
-        if isinstance(node, Neg):
-            return -rec(node.operand)
-        if isinstance(node, Call):
-            x = rec(node.arg)
-            if node.func == "log" and x <= 0.0:
-                raise EvalDomainError(f"log of non-positive value {x!r}")
-            if node.func == "sqrt" and x < 0.0:
-                raise EvalDomainError(f"sqrt of negative value {x!r}")
-            try:
-                return _SCALAR_FUNCS[node.func](x)
-            except (OverflowError, ValueError):
-                raise EvalDomainError(f"{node.func} failed at {x!r}") from None
-        a = rec(node.left)
-        b = rec(node.right)
-        op = node.op
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        if op == "/":
-            if b == 0.0:
-                raise EvalDomainError("division by zero")
-            return a / b
-        # power
-        if a == 0.0 and b < 0.0:
-            raise EvalDomainError("zero raised to a negative power")
-        if a < 0.0 and b != round(b):
-            raise EvalDomainError(f"negative base {a!r} with non-integer exponent {b!r}")
-        try:
-            return a ** b
-        except OverflowError:
-            raise EvalDomainError("overflow in power") from None
-
-    out = rec(e)
-    if not math.isfinite(out):
-        raise EvalDomainError(f"non-finite result {out!r}")
-    return out
-
-
 def _first_index(mask: np.ndarray):
+    if mask.ndim == 0:
+        return None
     flat = int(np.argmax(mask))
-    if mask.ndim <= 1:
+    if mask.ndim == 1:
         return flat
     return tuple(int(k) for k in np.unravel_index(flat, mask.shape))
+
+
+def eval_expr(e: Expr, t: float, u: float, v: float) -> float:
+    """Evaluate at scalar inputs: the 0-d case of ``eval_many``.  Raises
+    EvalDomainError, with index None, on domain faults."""
+    return float(eval_many(e, t, u, v))
 
 
 def eval_many(e: Expr, t, u, v, lenient: bool = False) -> np.ndarray:
     """Vectorized evaluation with numpy broadcasting.
 
     Domain faults raise EvalDomainError carrying the index of the first
-    offending sample (an index into the broadcast shape).  With
-    ``lenient=True`` faulting samples become nan instead of raising
-    (used by shooting, where a diverging trial trajectory is data).
+    offending sample (an index into the broadcast shape; None when that
+    shape is 0-d).  With ``lenient=True`` faulting samples become nan
+    instead of raising (used by shooting, where a diverging trial
+    trajectory is data).
     """
-    env = {
-        "t": np.asarray(t, dtype=float),
-        "u": np.asarray(u, dtype=float),
-        "v": np.asarray(v, dtype=float),
-    }
+    env = {name: np.asarray(x, dtype=float) for name, x in zip(VARIABLES, (t, u, v))}
+    shape = np.broadcast_shapes(*(x.shape for x in env.values()))
 
     def guard(mask, message: str) -> None:
         if not lenient and np.any(mask):
-            raise EvalDomainError(message, _first_index(mask))
+            raise EvalDomainError(message, _first_index(np.broadcast_to(mask, shape)))
 
     def rec(node) -> np.ndarray:
         if isinstance(node, Num):
@@ -302,15 +263,13 @@ def eval_many(e: Expr, t, u, v, lenient: bool = False) -> np.ndarray:
             return -rec(node.operand)
         if isinstance(node, Call):
             x = rec(node.arg)
-            if node.func == "log":
-                guard(x <= 0.0, "log of non-positive value")
-                return np.log(np.where(x > 0.0, x, np.nan)) if lenient else np.log(x)
-            if node.func == "sqrt":
-                guard(x < 0.0, "sqrt of negative value")
-                return np.sqrt(np.where(x >= 0.0, x, np.nan)) if lenient else np.sqrt(x)
-            fn = {"sin": np.sin, "cos": np.cos, "exp": np.exp,
-                  "abs": np.abs, "tanh": np.tanh}[node.func]
-            return fn(x)
+            if node.func in _DOMAIN_FAULTS:
+                faulty, message = _DOMAIN_FAULTS[node.func]
+                bad = faulty(x)
+                guard(bad, message)
+                if lenient:
+                    x = np.where(bad, np.nan, x)
+            return getattr(np, node.func)(x)
         a = rec(node.left)
         b = rec(node.right)
         op = node.op
@@ -321,25 +280,17 @@ def eval_many(e: Expr, t, u, v, lenient: bool = False) -> np.ndarray:
         if op == "*":
             return a * b
         if op == "/":
-            guard(np.broadcast_to(b == 0.0,
-                                  np.broadcast_shapes(np.shape(a), np.shape(b))),
-                  "division by zero")
+            guard(b == 0.0, "division by zero")
             return a / b
-        shape = np.broadcast_shapes(np.shape(a), np.shape(b))
-        aa = np.broadcast_to(a, shape)
-        bb = np.broadcast_to(b, shape)
-        guard((aa == 0.0) & (bb < 0.0), "zero raised to a negative power")
-        guard((aa < 0.0) & (bb != np.round(bb)),
+        guard((a == 0.0) & (b < 0.0), "zero raised to a negative power")
+        guard((a < 0.0) & (b != np.round(b)),
               "negative base with non-integer exponent")
-        return aa ** bb
+        return a ** b
 
     with np.errstate(all="ignore"):
         out = np.asarray(rec(e), dtype=float)
     if not lenient:
-        bad = ~np.isfinite(out)
-        if np.any(bad):
-            raise EvalDomainError("non-finite result", _first_index(bad))
-    shape = np.broadcast_shapes(env["t"].shape, env["u"].shape, env["v"].shape)
+        guard(~np.isfinite(out), "non-finite result")
     if out.shape != shape:
         out = np.ascontiguousarray(np.broadcast_to(out, shape))
     return out

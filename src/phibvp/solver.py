@@ -102,8 +102,9 @@ class ProblemSpec:
                 f"got {self.phi.name} ({self.phi.kind.value})")
         if not (self.T > 0 and np.isfinite(self.T)):
             raise ValueError(f"T must be positive, got {self.T}")
-        if self.grid_n < 2:
-            raise ValueError("grid_n must be at least 2")
+        # ode_residual needs an interior node
+        if self.grid_n < 3:
+            raise ValueError(f"grid_n must be at least 3, got {self.grid_n}")
         if not (self.tol_fp > 0 and np.isfinite(self.tol_fp)):
             raise ValueError(f"tol must be positive and finite, got {self.tol_fp}")
         if not _LAMBDA_STEP_MIN <= self.lambda_step <= 1.0:

@@ -205,6 +205,19 @@ def test_check_classic_respects_larger_requested_radius(tmp_path, capsys):
     assert "rho=6.0" in cert
 
 
+@pytest.mark.parametrize("text", [
+    # c = -1e300 derives a box of half-width 5e100, where f overflows
+    CLASSIC_BENCH.replace('c = "-1"', 'c = "-1e300"'),
+    DIRICHLET_BENCH.replace('f = "u - 2"', 'f = "u - 2 + exp(u^3)"'),
+], ids=["signs", "growth"])
+def test_check_fault_of_f_names_point_and_box(tmp_path, capsys, text):
+    assert main(["check", write(tmp_path, text)]) == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert "f: non-finite result at (t, u, v) = (0.0, " in err
+    assert "on the derived sample box |u| <= " in err
+    assert "sample index" not in err
+
+
 def test_check_dirichlet_missing_majorant_keys(tmp_path, capsys):
     text = "\n".join(line for line in DIRICHLET_BENCH.splitlines()
                      if not line.startswith(("h ", "n ", "dn "))) + "\n"
@@ -336,6 +349,8 @@ def test_bad_input_exit_codes(tmp_path, capsys):
         "tol = nan\n",
         "problem = dirichlet\nphi = mean_curvature 1\nT = 0.1\nf = \"0\"\n"
         "lambda_step = 1e-9\n",
+        "problem = dirichlet\nphi = mean_curvature 1\nT = 0.1\nf = \"0\"\n"
+        "grid_n = 2\n",
     ]
     for i, text in enumerate(cases):
         path = write(tmp_path, text, f"bad{i}.txt")

@@ -152,6 +152,17 @@ def test_eval_domain_errors():
         ev("(-2)^0.5")
     with pytest.raises(EvalDomainError):
         ev("exp(1000)")  # overflow is a domain fault, not inf
+    # one evaluator: a scalar fault is the 0-d case of the array fault
+    zero = np.zeros(1)
+    for src in ("log(0)", "log(-1)", "sqrt(-4)", "1/u", "(-2)^0.5",
+                "exp(1000)", "0^-1", "2^2000"):
+        e = parse_expr(src)
+        with pytest.raises(EvalDomainError) as scalar:
+            eval_expr(e, 0.0, 0.0, 0.0)
+        assert scalar.value.index is None, src
+        with pytest.raises(EvalDomainError) as array:
+            eval_many(e, zero, zero, zero)
+        assert str(array.value) == str(scalar.value) + " at sample index 0", src
 
 
 def test_eval_many_matches_scalar():
@@ -159,7 +170,8 @@ def test_eval_many_matches_scalar():
     # +-*/ are correctly rounded in both paths: bitwise agreement
     exact = ["t + u*v", "u - 2", "(t - v)/2 + u", "abs(v) - t"]
     # pow and transcendentals may differ by an ulp between the numpy
-    # array loops and the scalar libm calls
+    # loops over 40-element arrays and over 0-d arrays, which can take
+    # different (vectorized or not) kernels
     close = ["sin(t)*exp(u/10)", "sqrt(u^2 + 1)", "tanh(t - v)",
              "exp(v)/2 - 1"]
     t = rng.uniform(-2, 2, 40)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -106,6 +108,13 @@ def test_power_requires_superlinear():
         power(1.0)
     with pytest.raises(ValueError):
         power(0.5)
+
+
+def test_overflowing_power_is_reported_without_a_numpy_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="not finite on probes"):
+            power(1e308)
 
 
 def test_positive_parameter_required():

@@ -326,6 +326,9 @@ def test_problem_spec_validation():
         make_spec(D, ("mean_curvature", 1.0), "u - 2", -0.1)
     with pytest.raises(ValueError):
         make_spec(D, ("mean_curvature", 1.0), "u - 2", 0.1, grid_n=1)
+    # two nodes leave ode_residual no interior to take a maximum over
+    with pytest.raises(ValueError, match="grid_n"):
+        make_spec(D, ("mean_curvature", 1.0), "u - 2", 0.1, grid_n=2)
     with pytest.raises(ValueError):
         make_spec(D, ("mean_curvature", 1.0), "u - 2", 0.1, lambda_step=0.0)
     with pytest.raises(ValueError):
