@@ -348,9 +348,17 @@ def planar_map(f: Expr, T: float, a: float, b: float) -> tuple[float, float]:
 
     (a, b) -> (a*T + b*T^2 - b*T - (1/T) * integral_0^T f(t, a+b*t, b) dt,
                b - a - b*T).
+    A domain fault of f names the point (a, b) and its radius, so that a
+    fault caused by too large a disk blames the radius, not only f.
     """
     ts = np.linspace(0.0, T, SIMPSON_N)
-    vals = eval_many(f, ts, a + b * ts, np.full_like(ts, b))
+    try:
+        vals = eval_many(f, ts, a + b * ts, np.full_like(ts, b))
+    except EvalDomainError as exc:
+        raise EvalDomainError(
+            f"f: {exc.fault} at t = {float(ts[exc.index])!r} for (a, b) = "
+            f"({float(a)!r}, {float(b)!r}), radius {math.hypot(a, b)!r}"
+        ) from None
     integ = _simpson(vals, T)
     g1 = a * T + b * T * T - b * T - integ / T
     g2 = b - a - b * T
@@ -462,8 +470,7 @@ def newton_sign_sum(f: Expr, T: float, rho: float, starts_per_axis: int = 16):
     def G(p: np.ndarray) -> np.ndarray:
         return np.array(planar_map(f, T, float(p[0]), float(p[1])))
 
-    def jac(p: np.ndarray) -> np.ndarray:
-        g0 = G(p)
+    def jac(p: np.ndarray, g0: np.ndarray) -> np.ndarray:
         ga = G(p + [delta, 0.0])
         gb = G(p + [0.0, delta])
         return np.stack([(ga - g0) / delta, (gb - g0) / delta], axis=1)
@@ -479,20 +486,20 @@ def newton_sign_sum(f: Expr, T: float, rho: float, starts_per_axis: int = 16):
             p = np.array([x0, y0])
             converged = False
             try:
+                g = G(p)
                 for _ in range(80):
-                    g = G(p)
                     ng = float(np.max(np.abs(g)))
                     if ng <= tol:
                         converged = True
                         break
-                    step = np.linalg.solve(jac(p), -g)
+                    step = np.linalg.solve(jac(p, g), -g)
                     alpha = 1.0
                     moved = False
                     while alpha >= 2.0 ** -24:
                         trial = p + alpha * step
                         gt = G(trial)
                         if np.all(np.isfinite(gt)) and np.max(np.abs(gt)) < ng:
-                            p = trial
+                            p, g = trial, gt
                             moved = True
                             break
                         alpha /= 2.0
@@ -511,7 +518,7 @@ def newton_sign_sum(f: Expr, T: float, rho: float, starts_per_axis: int = 16):
 
     sign_sum = 0
     for z in zeros:
-        det = float(np.linalg.det(jac(z)))
+        det = float(np.linalg.det(jac(z, G(z))))
         if abs(det) <= 1e-8:
             trustworthy = False
             continue

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .expr import Expr, eval_many
 from .function_space import (
@@ -56,7 +57,9 @@ class AdmissibilityViolation(Exception):
 @dataclass(frozen=True)
 class QphiResult:
     """Root of s -> integral of phi^{-1}(h - s): the unique shift making
-    phi^{-1}(h - s) integrate to zero.  min h <= s <= max h always."""
+    phi^{-1}(h - s) integrate to zero.  min h <= s <= max h always;
+    residual is the integral at s, iterations the number of integrals
+    evaluated, the residual's included (0 for a constant h)."""
 
     s: float
     residual: float
@@ -70,15 +73,14 @@ def nemytskii(f: Expr, w: GridFunction) -> np.ndarray:
 
 
 def q_phi(phi: Homeomorphism, grid: Grid, h: np.ndarray) -> QphiResult:
-    """Solve G(s) = integral_0^T phi^{-1}(h - s) dt = 0 by bisection.
+    """Solve G(s) = integral_0^T phi^{-1}(h - s) dt = 0 by Brent's method.
 
     G is strictly decreasing with G(min h) >= 0 >= G(max h), so the
     bracket is [min h, max h].  For a bounded-range phi the arguments
     h - s stay in (-a, a) because sup|h| < a/2 is required up front.
-    Bisection stops on |G| <= 5e-13 * T (half the documented residual
-    bound, so re-evaluating the integral cannot tip it over), or on a
-    bracket collapsed to a few ulps when the slope of G is too steep
-    for that residual.
+    brentq narrows the bracket to a few ulps of its scale (xtol and
+    scipy's default rtol of 4 eps), at most QPHI_MAX_ITER steps; a
+    bracket without a sign change means corrupt input.
     """
     h = np.asarray(h, dtype=float)
     if h.shape != (grid.n,):
@@ -92,39 +94,22 @@ def q_phi(phi: Homeomorphism, grid: Grid, h: np.ndarray) -> QphiResult:
         if sup_h >= phi.a / 2.0:
             raise BoundedPreconditionError(sup_h, phi.a / 2.0)
 
-    tol = 5e-13 * grid.T
-    scale = max(1.0, abs(hm), abs(hM))
-    if hM - hm <= 1e-15 * scale:
-        s = float(h[0])
-        return QphiResult(s, integral(grid, phi.inverse(h - s)), 0)
-
     def G(s: float) -> float:
         return integral(grid, phi.inverse(h - s))
 
-    g_lo = G(hm)
-    g_hi = G(hM)
-    if abs(g_lo) <= tol:
-        return QphiResult(hm, g_lo, 0)
-    if abs(g_hi) <= tol:
-        return QphiResult(hM, g_hi, 0)
-    if g_lo * g_hi > 0.0 or g_lo < g_hi:
-        raise NoSignChangeError(
-            f"G({hm!r}) = {g_lo!r} and G({hM!r}) = {g_hi!r}: corrupt input")
+    scale = max(1.0, abs(hm), abs(hM))
+    if hM - hm <= 1e-15 * scale:
+        s = float(h[0])
+        return QphiResult(s, G(s), 0)
 
-    lo, hi = hm, hM  # G(lo) > 0 > G(hi)
-    width_floor = 8.0 * np.finfo(float).eps * scale
-    s = 0.5 * (lo + hi)
-    g = G(s)
-    iters = 1
-    while abs(g) > tol and (hi - lo) > width_floor and iters < QPHI_MAX_ITER:
-        if g > 0.0:
-            lo = s
-        else:
-            hi = s
-        s = 0.5 * (lo + hi)
-        g = G(s)
-        iters += 1
-    return QphiResult(s, g, iters)
+    try:
+        s, info = brentq(G, hm, hM, xtol=4e-16 * scale, maxiter=QPHI_MAX_ITER,
+                         full_output=True, disp=False)
+    except ValueError as exc:
+        raise NoSignChangeError(
+            f"no sign change of G on [{hm!r}, {hM!r}] ({exc}): corrupt input"
+        ) from None
+    return QphiResult(s, G(s), info.function_calls + 1)
 
 
 def _inverse_guarded(phi: Homeomorphism, x: np.ndarray, lam: float | None) -> np.ndarray:

@@ -297,6 +297,17 @@ def test_non_finite_radius_is_bad_input(tmp_path, capsys, cmd, rho):
     assert not list(tmp_path.glob("prob.*.txt"))
 
 
+@pytest.mark.parametrize("cmd", ["check", "degree"])
+def test_radius_too_large_for_f_names_the_radius(tmp_path, capsys, cmd):
+    # exp(v) overflows on most of the circle of radius 1e300
+    path = write(tmp_path, CLASSIC_BENCH.replace("rho = 0", "rho = 1e300"))
+    assert main([cmd, path]) == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert "f: non-finite result" in err
+    assert "radius 1e+300" in err
+    assert not list(tmp_path.glob("prob.*.txt"))
+
+
 @pytest.mark.parametrize("key,value", [("m1", "-inf"), ("m2", "inf"),
                                        ("m2", "nan")])
 def test_non_finite_sign_threshold_is_bad_input(tmp_path, capsys, recwarn,
