@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import EvalDomainError, Expr, eval_many, variables
+from .expr import VARIABLES, EvalDomainError, Expr, eval_many, variables
 from .function_space import Grid, integral
 from .homeomorphism import Homeomorphism, Kind
 
@@ -144,14 +144,25 @@ class SignCertificate:
             ("L", self.L), ("r", self.r), ("rho_min", self.rho_min)), self.box)
 
 
+def eval_profile(key: str, e: Expr, var: str, xs: np.ndarray) -> np.ndarray:
+    """The expression of problem-file key ``key`` at the samples xs of its
+    one variable ``var``, the others 0.  A domain fault names the key and
+    the sample point, as in ``dn: division by zero at u = 0.0``."""
+    z = np.zeros_like(xs)
+    try:
+        return eval_many(e, *(xs if name == var else z for name in VARIABLES))
+    except EvalDomainError as exc:
+        raise EvalDomainError(
+            f"{key}: {exc.fault} at {var} = {float(xs[exc.index])!r}") from None
+
+
 def _probe_derivative(n: Expr, dn: Expr, x_max: float) -> None:
     xs = np.linspace(-x_max, x_max, 51)
     step = _FD_PROBE_STEP * np.maximum(1.0, np.abs(xs))
-    z = np.zeros_like(xs)
-    npl = eval_many(n, z, xs + step, z)
-    nmi = eval_many(n, z, xs - step, z)
+    npl = eval_profile("n", n, "u", xs + step)
+    nmi = eval_profile("n", n, "u", xs - step)
     fd = (npl - nmi) / (2.0 * step)
-    given = eval_many(dn, z, xs, z)
+    given = eval_profile("dn", dn, "u", xs)
     err = np.abs(fd - given) / (1.0 + np.abs(given))
     worst = int(np.argmax(err))
     if err[worst] > 1e-6:
@@ -192,8 +203,7 @@ def check_growth(phi: Homeomorphism, f: Expr, h: Expr, n: Expr, dn: Expr,
 
     tgrid = Grid(T, DEFAULT_SAMPLES)
     ts = tgrid.nodes
-    zeros_t = np.zeros_like(ts)
-    h_vals = eval_many(h, ts, zeros_t, zeros_t)
+    h_vals = eval_profile("h", h, "t", ts)
     h_l1 = integral(tgrid, np.abs(h_vals))
     half_a = phi.a / 2.0
 
@@ -224,16 +234,15 @@ def check_growth(phi: Homeomorphism, f: Expr, h: Expr, n: Expr, dn: Expr,
                             f"h({ts[i]!r}) = {h_vals[i]!r} < 0"))
 
     # (v) n(0) = 0
-    n_at_0 = float(eval_many(n, np.zeros(1), np.zeros(1), np.zeros(1))[0])
+    n_at_0 = float(eval_profile("n", n, "u", np.zeros(1))[0])
     if abs(n_at_0) > GROWTH_SLACK:
         return done(Verdict("failed_at", (math.nan, 0.0, math.nan),
                             f"n(0) = {n_at_0!r} != 0"))
 
     xs = np.linspace(-box.x_max, box.x_max, DEFAULT_SAMPLES)
     ys = np.linspace(-box.y_max, box.y_max, DEFAULT_SAMPLES)
-    zeros_x = np.zeros_like(xs)
-    n_vals = eval_many(n, zeros_x, xs, zeros_x)
-    dn_vals = eval_many(dn, zeros_x, xs, zeros_x)
+    n_vals = eval_profile("n", n, "u", xs)
+    dn_vals = eval_profile("dn", dn, "u", xs)
 
     # (iii) phi(y) * dn(x) * y >= -slack on the (x, y) samples
     phiyy = np.asarray(phi.forward(ys), dtype=float) * ys
@@ -282,7 +291,7 @@ def check_signs(phi: Homeomorphism, f: Expr, m1: float, m2: float, c: Expr,
 
     tgrid = Grid(T, DEFAULT_SAMPLES)
     ts = tgrid.nodes
-    c_vals = eval_many(c, ts, np.zeros_like(ts), np.zeros_like(ts))
+    c_vals = eval_profile("c", c, "t", ts)
     c_neg_l1 = integral(tgrid, np.maximum(-c_vals, 0.0))
     r = max(abs(float(phi.inverse(L + 2.0 * c_neg_l1))),
             abs(float(phi.inverse(-L - 2.0 * c_neg_l1))))

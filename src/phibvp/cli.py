@@ -28,8 +28,10 @@ from pathlib import Path
 import numpy as np
 
 from .certificates import (BoundaryZero, InconsistentDerivative, SampleBox,
-                           brouwer_degree, check_growth, check_signs)
-from .expr import ParseError, eval_many, parse_expr, variables
+                           brouwer_degree, check_growth, check_signs,
+                           eval_profile)
+# eval_many is unused here, but bench/tracing.py patches this name
+from .expr import ParseError, eval_many, parse_expr, variables  # noqa: F401
 from .function_space import DEFAULT_N, Grid
 from .homeomorphism import parse_phi_config
 from .operators import (AdmissibilityViolation, BoundedPreconditionError,
@@ -307,7 +309,7 @@ def cmd_qphi(args) -> int:
     T = prob.number("T")
     grid = Grid(T, prob.integer("grid_n", DEFAULT_N))
     h_expr = prob.expr("h")
-    h_vals = eval_many(h_expr, grid.nodes, np.zeros(grid.n), np.zeros(grid.n))
+    h_vals = eval_profile("h", h_expr, "t", grid.nodes)
     result = q_phi(phi, grid, h_vals)
     text = (f"s={result.s!r}\n"
             f"residual={result.residual!r}\n"

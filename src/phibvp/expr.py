@@ -11,14 +11,17 @@ Atoms: floating literals, variables t u v, constants pi e, and the
 unary functions sin cos exp log sqrt abs tanh.  ``parse_expr`` returns an
 immutable tree; ``eval_many`` evaluates it at numpy arrays (broadcasting),
 and ``eval_expr`` is its 0-d case, at scalars.  There is one evaluator, so
-both report the same domain faults with the same messages.  Evaluation is
-pure and deterministic.
+both report the same domain faults with the same messages.  It compiles a
+tree once per mode, on its first evaluation, into a numpy kernel that it
+caches; evaluation is pure and deterministic.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import weakref
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Union
 
@@ -90,40 +93,29 @@ Expr = Union[Num, Var, Neg, BinOp, Call]
 _TOKEN_RE = re.compile(
     r"(?P<num>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
     r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^()])"
+    r"|(?P<op>[-+*/^()])|(?P<space>\s+)|(?P<bad>.)", re.DOTALL
 )
 
 _BIN_PREC = {"+": 10, "-": 10, "*": 20, "/": 20, "^": 40}
 _UNARY_PREC = 30
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # num | ident | op | end
-    text: str
-    pos: int
+_Token = namedtuple("_Token", "kind text pos")  # kind: num | ident | op | end
 
 
 def _tokenize(src: str) -> list[_Token]:
     out = []
-    i = 0
-    while i < len(src):
-        if src[i].isspace():
-            i += 1
-            continue
-        m = _TOKEN_RE.match(src, i)
-        if m is None:
-            raise ParseError(f"unexpected character {src[i]!r}", i)
-        kind = m.lastgroup
-        out.append(_Token(kind, m.group(), i))
-        i = m.end()
+    for m in _TOKEN_RE.finditer(src):
+        if m.lastgroup == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}", m.start())
+        if m.lastgroup != "space":
+            out.append(_Token(m.lastgroup, m.group(), m.start()))
     out.append(_Token("end", "", len(src)))
     return out
 
 
 class _Parser:
     def __init__(self, src: str):
-        self.src = src
         self.tokens = _tokenize(src)
         self.i = 0
 
@@ -131,9 +123,8 @@ class _Parser:
         return self.tokens[self.i]
 
     def advance(self) -> _Token:
-        tok = self.tokens[self.i]
         self.i += 1
-        return tok
+        return self.tokens[self.i - 1]
 
     def expect_op(self, op: str) -> None:
         tok = self.peek()
@@ -215,84 +206,100 @@ def variables(e: Expr) -> frozenset[str]:
 
 # ---------------------------------------------------------------- evaluation
 
-# domain of each function that has one: the mask of faulting arguments and
-# the fault's message; every other name in FUNCTIONS is total
+# the test of a faulting argument and the fault's message; the rest are total
 _DOMAIN_FAULTS = {
-    "log": (lambda x: x <= 0.0, "log of non-positive value"),
-    "sqrt": (lambda x: x < 0.0, "sqrt of negative value"),
+    "log": ("{} <= 0.0", "log of non-positive value"),
+    "sqrt": ("{} < 0.0", "sqrt of negative value"),
 }
+_KERNEL_CACHE_SIZE = 256
+_KERNELS: dict = {}  # (id(e), lenient) -> (weak reference to e, kernel)
 
 
-def _first_index(mask: np.ndarray):
-    if mask.ndim == 0:
-        return None
-    flat = int(np.argmax(mask))
-    if mask.ndim == 1:
-        return flat
-    return tuple(int(k) for k in np.unravel_index(flat, mask.shape))
+def _fault(message: str, mask, t, u, v) -> EvalDomainError:
+    """The fault at mask's first true sample, indexed into the broadcast
+    shape of (t, u, v)."""
+    mask = np.broadcast_to(mask, np.broadcast_shapes(t.shape, u.shape, v.shape))
+    index = tuple(int(k) for k in np.unravel_index(int(np.argmax(mask)), mask.shape))
+    return EvalDomainError(message, index[0] if len(index) == 1 else index or None)
+
+
+def _compile(e: Expr, lenient: bool):
+    """e as a kernel: straight-line source, compiled once, that makes the
+    numpy calls of a walk of the tree on the same operand types (literals
+    are 0-d arrays) and checks each domain where the walk meets it.  A
+    strict kernel raises at the first fault and on a non-finite result; a
+    lenient one feeds nan to log and sqrt outside their domain."""
+    lines: list[str] = []
+    scope = {"np": np, "_fault": _fault}
+
+    def let(source: str) -> str:
+        lines.append(f"x{len(lines)} = {source}")
+        return f"x{len(lines) - 1}"
+
+    def guard(mask: str, message: str) -> None:
+        if not lenient:
+            lines.append(f"if ({mask}).any(): raise _fault({message!r}, {mask}, t, u, v)")
+
+    def emit(node) -> str:
+        if isinstance(node, Num):
+            scope[f"c{len(scope)}"] = np.asarray(node.value)
+            return f"c{len(scope) - 1}"
+        if isinstance(node, Var):
+            return node.name
+        if isinstance(node, Neg):
+            return let(f"-{emit(node.operand)}")
+        if isinstance(node, Call):
+            x = emit(node.arg)
+            if node.func in _DOMAIN_FAULTS:
+                test, message = _DOMAIN_FAULTS[node.func]
+                guard(test.format(x), message)
+                if lenient:
+                    x = let(f"np.where({test.format(x)}, np.nan, {x})")
+            return let(f"np.{node.func}({x})")
+        a, b = emit(node.left), emit(node.right)
+        if node.op == "/":
+            guard(f"{b} == 0.0", "division by zero")
+        if node.op == "^":
+            guard(f"({a} == 0.0) & ({b} < 0.0)", "zero raised to a negative power")
+            guard(f"({a} < 0.0) & ({b} != np.round({b}))",
+                  "negative base with non-integer exponent")
+        return let(f"{a} {'**' if node.op == '^' else node.op} {b}")
+
+    lines.append(f"out = np.asarray({emit(e)}, dtype=float)")
+    guard("~np.isfinite(out)", "non-finite result")
+    body = "".join(f"    {line}\n" for line in lines)
+    exec(f"def kernel(t, u, v):\n{body}    return out\n", scope)
+    return scope["kernel"]
 
 
 def eval_expr(e: Expr, t: float, u: float, v: float) -> float:
-    """Evaluate at scalar inputs: the 0-d case of ``eval_many``.  Raises
-    EvalDomainError, with index None, on domain faults."""
+    """``eval_many`` at scalar inputs; a domain fault's index is None."""
     return float(eval_many(e, t, u, v))
 
 
 def eval_many(e: Expr, t, u, v, lenient: bool = False) -> np.ndarray:
-    """Vectorized evaluation with numpy broadcasting.
-
-    Domain faults raise EvalDomainError carrying the index of the first
-    offending sample (an index into the broadcast shape; None when that
-    shape is 0-d).  With ``lenient=True`` faulting samples become nan
-    instead of raising (used by shooting, where a diverging trial
-    trajectory is data).
-    """
-    env = {name: np.asarray(x, dtype=float) for name, x in zip(VARIABLES, (t, u, v))}
-    shape = np.broadcast_shapes(*(x.shape for x in env.values()))
-
-    def guard(mask, message: str) -> None:
-        if not lenient and np.any(mask):
-            raise EvalDomainError(message, _first_index(np.broadcast_to(mask, shape)))
-
-    def rec(node) -> np.ndarray:
-        if isinstance(node, Num):
-            return np.asarray(node.value)
-        if isinstance(node, Var):
-            return env[node.name]
-        if isinstance(node, Neg):
-            return -rec(node.operand)
-        if isinstance(node, Call):
-            x = rec(node.arg)
-            if node.func in _DOMAIN_FAULTS:
-                faulty, message = _DOMAIN_FAULTS[node.func]
-                bad = faulty(x)
-                guard(bad, message)
-                if lenient:
-                    x = np.where(bad, np.nan, x)
-            return getattr(np, node.func)(x)
-        a = rec(node.left)
-        b = rec(node.right)
-        op = node.op
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        if op == "/":
-            guard(b == 0.0, "division by zero")
-            return a / b
-        guard((a == 0.0) & (b < 0.0), "zero raised to a negative power")
-        guard((a < 0.0) & (b != np.round(b)),
-              "negative base with non-integer exponent")
-        return a ** b
-
+    """Vectorized evaluation with numpy broadcasting.  A domain fault raises
+    EvalDomainError with the index of the first offending sample in the
+    broadcast shape (None when that is 0-d); with ``lenient=True`` faulting
+    samples become nan instead (shooting treats a diverging trial
+    trajectory as data)."""
+    # keyed on identity: the dataclass hash walks the whole tree, and the
+    # weak reference tells e from a dead node whose id it reuses
+    key = (id(e), lenient)
+    hit = _KERNELS.get(key)
+    if hit is None or hit[0]() is not e:
+        if len(_KERNELS) >= _KERNEL_CACHE_SIZE:
+            _KERNELS.pop(next(iter(_KERNELS)), None)  # the oldest
+        hit = _KERNELS[key] = (weakref.ref(e), _compile(e, lenient))
+    t, u, v = (np.asarray(t, dtype=float), np.asarray(u, dtype=float),
+               np.asarray(v, dtype=float))
     with np.errstate(all="ignore"):
-        out = np.asarray(rec(e), dtype=float)
-    if not lenient:
-        guard(~np.isfinite(out), "non-finite result")
-    if out.shape != shape:
-        out = np.ascontiguousarray(np.broadcast_to(out, shape))
+        out = hit[1](t, u, v)
+    # the broadcast shape is out's unless an input has another, non-0-d one
+    if not {t.shape, u.shape, v.shape} <= {out.shape, ()}:
+        shape = np.broadcast_shapes(t.shape, u.shape, v.shape)
+        if out.shape != shape:
+            out = np.ascontiguousarray(np.broadcast_to(out, shape))
     return out
 
 
@@ -301,10 +308,8 @@ def eval_many(e: Expr, t, u, v, lenient: bool = False) -> np.ndarray:
 def _prec_of(e: Expr) -> int:
     if isinstance(e, BinOp):
         return _BIN_PREC[e.op]
-    if isinstance(e, Neg):
-        return _UNARY_PREC
-    if isinstance(e, Num) and e.value < 0:
-        return _UNARY_PREC  # prints with a leading minus
+    if isinstance(e, Neg) or (isinstance(e, Num) and e.value < 0):
+        return _UNARY_PREC  # a negative literal prints with a leading minus
     return 100
 
 
@@ -324,11 +329,6 @@ def to_string(e: Expr) -> str:
     if isinstance(e, Call):
         return f"{e.func}({to_string(e.arg)})"
     p = _BIN_PREC[e.op]
-    if e.op == "^":
-        # right associative: parenthesize left at equal precedence
-        left = wrap(e.left, p + 1)
-        right = wrap(e.right, p)
-    else:
-        left = wrap(e.left, p)
-        right = wrap(e.right, p + 1)
-    return f"{left} {e.op} {right}"
+    # ^ is right associative: parenthesize its left operand at equal precedence
+    left, right = (p + 1, p) if e.op == "^" else (p, p + 1)
+    return f"{wrap(e.left, left)} {e.op} {wrap(e.right, right)}"

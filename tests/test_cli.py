@@ -218,6 +218,24 @@ def test_check_fault_of_f_names_point_and_box(tmp_path, capsys, text):
     assert "sample index" not in err
 
 
+@pytest.mark.parametrize("text,message", [
+    (DIRICHLET_BENCH.replace('h = "4"', 'h = "4 + 1/t"'),
+     "h: division by zero at t = 0.0"),
+    (DIRICHLET_BENCH.replace('n = "u"', 'n = "sqrt(u)"'),
+     "n: sqrt of negative value at u = -"),
+    (DIRICHLET_BENCH.replace('dn = "1"', 'dn = "1/u"'),
+     "dn: division by zero at u = 0.0"),
+    (CLASSIC_BENCH.replace('c = "-1"', 'c = "-1/t"'),
+     "c: division by zero at t = 0.0"),
+], ids=["h", "n", "dn", "c"])
+def test_check_fault_of_a_profile_names_key_and_point(tmp_path, capsys, text,
+                                                      message):
+    assert main(["check", write(tmp_path, text)]) == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert f"error: {message}" in err
+    assert "sample index" not in err
+
+
 def test_check_dirichlet_missing_majorant_keys(tmp_path, capsys):
     text = "\n".join(line for line in DIRICHLET_BENCH.splitlines()
                      if not line.startswith(("h ", "n ", "dn "))) + "\n"
@@ -227,6 +245,14 @@ def test_check_dirichlet_missing_majorant_keys(tmp_path, capsys):
 
 
 # -------------------------------------------------------------------- qphi
+
+
+def test_qphi_fault_of_h_names_the_point(tmp_path, capsys):
+    path = write(tmp_path, 'phi = mean_curvature 1\nT = 1\nh = "1/t"\n')
+    assert main(["qphi", path]) == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert "error: h: division by zero at t = 0.0" in err
+    assert "sample index" not in err
 
 
 def test_qphi_constant_projects_to_itself(tmp_path, capsys):

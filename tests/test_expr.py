@@ -4,12 +4,22 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import phibvp.expr as expr_module
+from phibvp import ProblemClass, ProblemSpec, make_homeomorphism, shooting_oracle
 from phibvp.expr import (
     FUNCTIONS,
+    VARIABLES,
+    BinOp,
+    Call,
     EvalDomainError,
+    Neg,
+    Num,
     ParseError,
     UnknownIdentifierError,
+    Var,
     eval_expr,
     eval_many,
     parse_expr,
@@ -233,3 +243,176 @@ def test_eval_pure():
     a = eval_expr(e, 0.3, 0.7, 1.1)
     b = eval_expr(e, 0.3, 0.7, 1.1)
     assert a == b
+
+
+# ------------------------------------------------- the compiled evaluator
+
+# A tree walker that evaluates node by node, with the domain checks where
+# it meets them.  The compiled kernels must agree with it bit for bit, and
+# fault for fault.
+_REFERENCE_DOMAIN_FAULTS = {
+    "log": (lambda x: x <= 0.0, "log of non-positive value"),
+    "sqrt": (lambda x: x < 0.0, "sqrt of negative value"),
+}
+
+
+def _reference_first_index(mask):
+    if mask.ndim == 0:
+        return None
+    flat = int(np.argmax(mask))
+    if mask.ndim == 1:
+        return flat
+    return tuple(int(k) for k in np.unravel_index(flat, mask.shape))
+
+
+def reference_eval_many(e, t, u, v, lenient=False):
+    env = {name: np.asarray(x, dtype=float) for name, x in zip(VARIABLES, (t, u, v))}
+    shape = np.broadcast_shapes(*(x.shape for x in env.values()))
+
+    def guard(mask, message):
+        if not lenient and np.any(mask):
+            raise EvalDomainError(
+                message, _reference_first_index(np.broadcast_to(mask, shape)))
+
+    def rec(node):
+        if isinstance(node, Num):
+            return np.asarray(node.value)
+        if isinstance(node, Var):
+            return env[node.name]
+        if isinstance(node, Neg):
+            return -rec(node.operand)
+        if isinstance(node, Call):
+            x = rec(node.arg)
+            if node.func in _REFERENCE_DOMAIN_FAULTS:
+                faulty, message = _REFERENCE_DOMAIN_FAULTS[node.func]
+                bad = faulty(x)
+                guard(bad, message)
+                if lenient:
+                    x = np.where(bad, np.nan, x)
+            return getattr(np, node.func)(x)
+        a = rec(node.left)
+        b = rec(node.right)
+        op = node.op
+        if op == "+":
+            return a + b
+        if op == "-":
+            return a - b
+        if op == "*":
+            return a * b
+        if op == "/":
+            guard(b == 0.0, "division by zero")
+            return a / b
+        guard((a == 0.0) & (b < 0.0), "zero raised to a negative power")
+        guard((a < 0.0) & (b != np.round(b)),
+              "negative base with non-integer exponent")
+        return a ** b
+
+    with np.errstate(all="ignore"):
+        out = np.asarray(rec(e), dtype=float)
+    if not lenient:
+        guard(~np.isfinite(out), "non-finite result")
+    if out.shape != shape:
+        out = np.ascontiguousarray(np.broadcast_to(out, shape))
+    return out
+
+
+# values that reach every guard: zeros of both signs, integers and
+# non-integers of both signs, and magnitudes that overflow
+_SPECIAL = [0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 0.5, -2.5, 3.0, 1e300, -1e-300]
+_VALUES = st.sampled_from(_SPECIAL) | st.floats(-50.0, 50.0)
+_TREES = st.recursive(
+    st.builds(Num, _VALUES) | st.builds(Var, st.sampled_from(VARIABLES)),
+    lambda kids: (st.builds(Neg, kids)
+                  | st.builds(Call, st.sampled_from(FUNCTIONS), kids)
+                  | st.builds(BinOp, st.sampled_from("+-*/^"), kids, kids)),
+    max_leaves=10)
+# (t, u, v) shapes as callers use them: scalars, equal samples, the RK4
+# sweep's scalar t with vector (u, v), and a certificate's (t, x, y) slice
+_SHAPES = [((), (), ()), ((5,), (5,), (5,)), ((), (4,), (4,)),
+           ((1, 1), (3, 1), (1, 4))]
+
+
+@st.composite
+def _inputs(draw):
+    args = []
+    for shape in draw(st.sampled_from(_SHAPES)):
+        size = math.prod(shape)
+        values = draw(st.lists(_VALUES, min_size=size, max_size=size))
+        args.append(np.array(values).reshape(shape) if shape else values[0])
+    return tuple(args)
+
+
+def _outcome(evaluate, e, args, lenient):
+    try:
+        out = evaluate(e, *args, lenient=lenient)
+    except EvalDomainError as exc:
+        return "fault", str(exc), exc.fault, exc.index
+    return "value", out.shape, out.dtype, out.flags.writeable, out.tobytes()
+
+
+@settings(max_examples=400, deadline=None)
+@given(tree=_TREES, args=_inputs(), lenient=st.booleans())
+# two faults of ^ at once: the walker reports 0^negative first
+@example(tree=parse_expr("u^v"),
+         args=(0.0, np.array([-1.0, 0.0]), np.array([-0.5, -0.5])), lenient=False)
+def test_compiled_kernel_matches_tree_walker(tree, args, lenient):
+    want = _outcome(reference_eval_many, tree, args, lenient)
+    assert _outcome(eval_many, tree, args, lenient) == want
+    assert _outcome(eval_many, tree, args, lenient) == want  # cached kernel
+
+
+@pytest.fixture
+def compiles(monkeypatch):
+    """The (id of the expression, lenient) pairs compiled while the test
+    runs; ids, so that the record keeps no tree alive."""
+    seen = []
+    compile_kernel = expr_module._compile
+
+    def counting(e, lenient):
+        seen.append((id(e), lenient))
+        return compile_kernel(e, lenient)
+
+    monkeypatch.setattr(expr_module, "_compile", counting)
+    return seen
+
+
+def test_oracle_compiles_its_forcing_once_per_mode(compiles):
+    f = parse_expr("u - 2")
+    spec = ProblemSpec(ProblemClass.DIRICHLET_BOUNDED,
+                       make_homeomorphism("mean_curvature", 1.0), f, 0.1, grid_n=101)
+    shooting_oracle(spec)
+    modes = [lenient for key, lenient in compiles if key == id(f)]
+    assert modes.count(True) == 1
+    assert modes.count(False) <= 1
+
+
+def test_equal_but_distinct_expressions_get_their_own_kernels(compiles):
+    a, b = parse_expr("u*2 + t"), parse_expr("u*2 + t")
+    assert a == b and a is not b
+    u = np.arange(3.0)
+    assert np.array_equal(eval_many(a, 1.0, u, u), 2 * u + 1)
+    assert np.array_equal(eval_many(b, 1.0, u, u), 2 * u + 1)
+    assert compiles == [(id(a), False), (id(b), False)]
+
+
+def test_reused_id_never_gets_a_stale_kernel(compiles):
+    # each tree dies before the next is parsed, so CPython hands its
+    # memory, and with it its id, to a later tree
+    ids = set()
+    n = 600
+    for k in range(n):
+        e = parse_expr(f"u + {k}")
+        ids.add(id(e))
+        assert eval_many(e, 0.0, 1.0, 0.0) == k + 1.0
+        del e
+    assert len(ids) < n  # some ids were reused
+    assert len(compiles) == n
+
+
+def test_lenient_kernel_does_not_stand_in_for_strict():
+    e = parse_expr("log(u)")
+    u = np.array([1.0, 0.0])
+    assert np.isnan(eval_many(e, 0.0, u, u, lenient=True)[1])
+    with pytest.raises(EvalDomainError) as info:
+        eval_many(e, 0.0, u, u)
+    assert info.value.index == 1
