@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .expr import Expr, eval_many
+from .expr import EvalDomainError, Expr, eval_many
 from .function_space import (
     Grid,
     GridFunction,
@@ -67,9 +67,17 @@ class QphiResult:
 
 
 def nemytskii(f: Expr, w: GridFunction) -> np.ndarray:
-    """Node samples of f(t, w(t), w'(t)).  Domain faults in f propagate
-    as EvalDomainError carrying the offending node index."""
-    return eval_many(f, w.grid.nodes, w.u, w.du)
+    """Node samples of f(t, w(t), w'(t)).  A domain fault of f is raised
+    as EvalDomainError naming f and the node's point, as in
+    ``f: division by zero at (t, u, v) = (0.05, 0.0, 0.0)``."""
+    t = w.grid.nodes
+    try:
+        return eval_many(f, t, w.u, w.du)
+    except EvalDomainError as exc:
+        i = exc.index
+        raise EvalDomainError(
+            f"f: {exc.fault} at (t, u, v) = ({float(t[i])!r}, "
+            f"{float(w.u[i])!r}, {float(w.du[i])!r})") from None
 
 
 def q_phi(phi: Homeomorphism, grid: Grid, h: np.ndarray) -> QphiResult:

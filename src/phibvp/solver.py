@@ -450,43 +450,55 @@ def _rk4_batch(spec: ProblemSpec, grid: Grid, u0: np.ndarray,
     return U, W, invalid
 
 
-def _trajectory_function(spec: ProblemSpec, grid: Grid, u0: float,
-                         w0: float) -> GridFunction:
-    U, W, bad = _rk4_batch(spec, grid, np.array([u0]), np.array([w0]))
-    if bad[0]:
+def _trajectory_function(spec: ProblemSpec, grid: Grid, column: tuple) -> GridFunction:
+    """The shooting answer from the (U, W, invalid) column that integrated
+    it; W is made contiguous, as in a 1-column sweep, for phi.inverse."""
+    U, W, bad = column
+    if bad:
         raise OracleFailure("final shooting trajectory left the admissible range")
-    du = np.asarray(spec.phi.inverse(W[:, 0]), dtype=float)
-    return GridFunction(grid, U[:, 0], du)
+    du = np.asarray(spec.phi.inverse(np.ascontiguousarray(W)), dtype=float)
+    return GridFunction(grid, U, du)
 
 
 def _shoot_dirichlet(spec: ProblemSpec, grid: Grid) -> GridFunction:
+    """Scan w0 over phi's range, then brentq on u(T) in the first bracket.
+    ``seen`` keeps this call's integrated columns by w0, so neither bracket
+    end nor the root is integrated twice.  It starts from copies of the two
+    bracket columns, since views would keep the 41-column scan alive."""
     a = spec.phi.a
     margin = 1e-6 * a
     cands = np.linspace(-a + margin, a - margin, _SHOOT_SCAN)
-    U, _, bad = _rk4_batch(spec, grid, np.zeros(_SHOOT_SCAN), cands)
+    U, W, bad = _rk4_batch(spec, grid, np.zeros(_SHOOT_SCAN), cands)
     end = U[-1]
     bracket = None
     for i in range(_SHOOT_SCAN - 1):
         if bad[i] or bad[i + 1]:
             continue
         if end[i] == 0.0:
-            return _trajectory_function(spec, grid, 0.0, float(cands[i]))
+            return _trajectory_function(spec, grid, (U[:, i], W[:, i], bad[i]))
         if end[i] * end[i + 1] <= 0.0:
             bracket = (float(cands[i]), float(cands[i + 1]))
             break
     if bracket is None:
         raise OracleFailure("no sign change of u(T) over the shooting scan")
+    seen = {float(cands[j]): (U[:, j].copy(), W[:, j].copy(), bad[j])
+            for j in (i, i + 1)}
+    del U, W, end
 
     def end_value(w0: float) -> float:
-        Us, _, b = _rk4_batch(spec, grid, np.zeros(1), np.array([w0]))
-        if b[0]:
+        if w0 not in seen:
+            Us, Ws, b = _rk4_batch(spec, grid, np.zeros(1), np.array([w0]))
+            seen[w0] = Us[:, 0], Ws[:, 0], b[0]
+        Us, _, b = seen[w0]
+        if b:
             raise OracleFailure(f"trajectory at w0={w0!r} left the admissible range")
-        return float(Us[-1, 0])
+        return float(Us[-1])
 
     root = scipy.optimize.brentq(end_value, bracket[0], bracket[1],
                                  xtol=1e-13, rtol=4 * np.finfo(float).eps,
                                  maxiter=200)
-    return _trajectory_function(spec, grid, 0.0, float(root))
+    end_value(root)  # brentq returns a point it evaluated; else one sweep
+    return _trajectory_function(spec, grid, seen[root])
 
 
 def _shoot_two_point_newton(spec: ProblemSpec, grid: Grid,
@@ -494,12 +506,15 @@ def _shoot_two_point_newton(spec: ProblemSpec, grid: Grid,
     """Damped Newton (FD Jacobian, step 1e-6) on the two initial values.
 
     Residual for the classic class: (u'(T) - u'(0), u(T) - u'(0));
-    for the singular class: (u(T) - u(0), u'(T) - u(0)).
+    for the singular class: (u(T) - u(0), u'(T) - u(0)).  Each iterate and
+    trial is integrated with its two FD neighbours in one sweep, so an
+    accepted trial already carries its next Jacobian and its trajectory.
     """
     phi = spec.phi
     classic = spec.problem is ProblemClass.THREEPOINT_CLASSIC
 
-    def residuals(points: np.ndarray) -> np.ndarray:
+    def sweep(p: np.ndarray) -> tuple[np.ndarray, tuple]:
+        points = np.array([p, p + [_FD_STEP, 0.0], p + [0.0, _FD_STEP]])
         U, W, bad = _rk4_batch(spec, grid, points[:, 0], points[:, 1])
         with np.errstate(all="ignore"):
             v0 = np.asarray(phi.inverse(W[0]), dtype=float)
@@ -509,14 +524,13 @@ def _shoot_two_point_newton(spec: ProblemSpec, grid: Grid,
         else:
             out = np.stack([U[-1] - U[0], vT - U[0]], axis=1)
         out[bad] = np.nan
-        return out
+        return out, (U[:, 0], W[:, 0], bad[0])
 
     for start in starts:
         p = np.array(start, dtype=float)
+        R, column = sweep(p)
         ok = False
         for _ in range(_NEWTON_STEPS):
-            batch = np.array([p, p + [_FD_STEP, 0.0], p + [0.0, _FD_STEP]])
-            R = residuals(batch)
             if not np.all(np.isfinite(R[0])):
                 break
             r0 = R[0]
@@ -533,16 +547,16 @@ def _shoot_two_point_newton(spec: ProblemSpec, grid: Grid,
             improved = False
             while alpha >= 2.0 ** -20:
                 trial = p + alpha * step
-                rt = residuals(trial[None, :])[0]
-                if np.all(np.isfinite(rt)) and np.max(np.abs(rt)) < nr0:
-                    p = trial
+                Rt, trial_column = sweep(trial)
+                if np.all(np.isfinite(Rt[0])) and np.max(np.abs(Rt[0])) < nr0:
+                    p, R, column = trial, Rt, trial_column
                     improved = True
                     break
                 alpha /= 2.0
             if not improved:
                 break
         if ok:
-            return _trajectory_function(spec, grid, float(p[0]), float(p[1]))
+            return _trajectory_function(spec, grid, column)
     raise OracleFailure("no Newton start converged in the shooting oracle")
 
 

@@ -148,6 +148,16 @@ def test_solve_guard_exit_for_oversized_forcing(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_solve_fault_of_f_names_f_and_the_point(tmp_path, capsys):
+    # the pole at t = 0.05 is node 500 of the default 1001-node grid
+    path = write(tmp_path, DIRICHLET_BENCH.replace('f = "u - 2"',
+                                                   'f = "1/(t - 0.05)"'))
+    assert main(["solve", path]) == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert "error: f: division by zero at (t, u, v) = (0.05, 0.0, 0.0)" in err
+    assert "sample index" not in err
+
+
 # ------------------------------------------------------------------- check
 
 

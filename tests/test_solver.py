@@ -20,8 +20,9 @@ from phibvp import (
     shooting_oracle,
     solve,
 )
+from phibvp import solver
 from phibvp.expr import eval_many
-from phibvp.function_space import l1_norm
+from phibvp.function_space import Grid, l1_norm
 from phibvp.operators import AdmissibilityViolation
 from phibvp.solver import MAX_ITER
 
@@ -280,6 +281,61 @@ def test_battery_class_invariants(cls, phi_args, f_src, T, res_cap, gap_cap):
         # at a fixed point the mean load must vanish, else the two
         # derivative endpoint conditions cannot both hold
         assert abs(trap_mean(w, spec.f)) <= 1e-8
+
+
+# ---------------------------------------------------------------- shooting
+
+
+def _sweep_columns_alone(spec, grid, u0, w0):
+    """RK4 batch of all initial states, and each state run by itself."""
+    U, W, bad = solver._rk4_batch(spec, grid, u0, w0)
+    for j in range(len(u0)):
+        Uj, Wj, bj = solver._rk4_batch(spec, grid, u0[j:j + 1], w0[j:j + 1])
+        assert np.array_equal(U[:, j], Uj[:, 0], equal_nan=True)
+        assert np.array_equal(W[:, j], Wj[:, 0], equal_nan=True)
+        assert bad[j] == bj[0]
+    return bad
+
+
+@pytest.mark.parametrize("cls,phi_args,f_src,T,res_cap,gap_cap",
+                         BATTERY, ids=BATTERY_IDS)
+def test_rk4_batch_columns_equal_single_runs(cls, phi_args, f_src, T, res_cap,
+                                             gap_cap):
+    # the oracle reuses batch columns as if integrated alone
+    spec = make_spec(cls, phi_args, f_src, T)
+    w0 = spec.phi.forward(np.array([-0.4, 0.2, 0.45]))
+    bad = _sweep_columns_alone(spec, Grid(T, spec.grid_n),
+                               np.array([0.0, 0.3, -0.2]), w0)
+    assert not bad.any()
+
+
+def test_rk4_batch_invalid_columns_equal_single_runs():
+    # w' = -5 carries w0 < -0.5 out of the curvature range (-1, 1)
+    spec = make_spec(D, ("mean_curvature", 1.0), "-5", 0.1, grid_n=101)
+    bad = _sweep_columns_alone(spec, Grid(0.1, 101), np.zeros(41),
+                               np.linspace(-0.999, 0.999, 41))
+    assert 0 < bad.sum() < 41
+
+
+@pytest.mark.parametrize("cls,phi_args,f_src,T,res_cap,gap_cap",
+                         BATTERY, ids=BATTERY_IDS)
+def test_oracle_integrates_no_state_twice(monkeypatch, cls, phi_args, f_src, T,
+                                          res_cap, gap_cap):
+    states = []
+    columns = []
+    rk4 = solver._rk4_batch
+
+    def recording(spec, grid, u0, w0):
+        U, W, bad = rk4(spec, grid, u0, w0)
+        states.extend(zip(u0.tolist(), w0.tolist()))
+        columns.extend(U.T)
+        return U, W, bad
+
+    monkeypatch.setattr(solver, "_rk4_batch", recording)
+    w = shooting_oracle(make_spec(cls, phi_args, f_src, T))
+    assert len(set(states)) == len(states)
+    # the answer is the trajectory of one state, integrated exactly once
+    assert sum(np.array_equal(c, w.u) for c in columns) == 1
 
 
 # ------------------------------------------------------------ diagnostics
