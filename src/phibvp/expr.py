@@ -13,7 +13,8 @@ immutable tree; ``eval_many`` evaluates it at numpy arrays (broadcasting),
 and ``eval_expr`` is its 0-d case, at scalars.  There is one evaluator, so
 both report the same domain faults with the same messages.  It compiles a
 tree once per mode, on its first evaluation, into a numpy kernel that it
-caches; evaluation is pure and deterministic.
+caches; ``kernel`` hands that kernel to a caller that evaluates one tree in
+a loop.  Evaluation is pure and deterministic.
 """
 
 from __future__ import annotations
@@ -277,12 +278,11 @@ def eval_expr(e: Expr, t: float, u: float, v: float) -> float:
     return float(eval_many(e, t, u, v))
 
 
-def eval_many(e: Expr, t, u, v, lenient: bool = False) -> np.ndarray:
-    """Vectorized evaluation with numpy broadcasting.  A domain fault raises
-    EvalDomainError with the index of the first offending sample in the
-    broadcast shape (None when that is 0-d); with ``lenient=True`` faulting
-    samples become nan instead (shooting treats a diverging trial
-    trajectory as data)."""
+def kernel(e: Expr, lenient: bool = False):
+    """e's cached kernel in this mode, compiled on first use.  It takes
+    float arrays (t, u, v), must run under ``np.errstate(all="ignore")``,
+    and returns an array that may be smaller than their broadcast shape
+    (0-d when every variable e uses is 0-d)."""
     # keyed on identity: the dataclass hash walks the whole tree, and the
     # weak reference tells e from a dead node whose id it reuses
     key = (id(e), lenient)
@@ -291,10 +291,20 @@ def eval_many(e: Expr, t, u, v, lenient: bool = False) -> np.ndarray:
         if len(_KERNELS) >= _KERNEL_CACHE_SIZE:
             _KERNELS.pop(next(iter(_KERNELS)), None)  # the oldest
         hit = _KERNELS[key] = (weakref.ref(e), _compile(e, lenient))
+    return hit[1]
+
+
+def eval_many(e: Expr, t, u, v, lenient: bool = False) -> np.ndarray:
+    """Vectorized evaluation with numpy broadcasting.  A domain fault raises
+    EvalDomainError with the index of the first offending sample in the
+    broadcast shape (None when that is 0-d); with ``lenient=True`` faulting
+    samples become nan instead (shooting treats a diverging trial
+    trajectory as data)."""
+    run = kernel(e, lenient)
     t, u, v = (np.asarray(t, dtype=float), np.asarray(u, dtype=float),
                np.asarray(v, dtype=float))
     with np.errstate(all="ignore"):
-        out = hit[1](t, u, v)
+        out = run(t, u, v)
     # the broadcast shape is out's unless an input has another, non-0-d one
     if not {t.shape, u.shape, v.shape} <= {out.shape, ()}:
         shape = np.broadcast_shapes(t.shape, u.shape, v.shape)

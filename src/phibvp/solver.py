@@ -28,7 +28,8 @@ from fractions import Fraction
 import numpy as np
 import scipy.optimize
 
-from .expr import EvalDomainError, Expr, eval_many
+# eval_many is unused here, but bench/tracing.py patches this name
+from .expr import EvalDomainError, Expr, eval_many, kernel  # noqa: F401
 from .function_space import (
     Grid,
     GridFunction,
@@ -405,54 +406,61 @@ def _rk4_batch(spec: ProblemSpec, grid: Grid, u0: np.ndarray,
                w0: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Integrate u' = phi^{-1}(w), w' = f(t, u, phi^{-1}(w)) for a batch of
     initial states.  Returns (U, W, invalid): trajectories of shape
-    (n, m) and a mask of runs whose w left phi's range (bounded phi only);
-    invalid runs are nan-filled.
+    (n, m) and a mask of runs whose w left phi's range (bounded phi only)
+    or overflowed; invalid runs are nan-filled.
+
+    The state y = (u, w) is stacked in a (2, m) array, and each stage
+    writes its slope (v, dw) into one of four (2, m) buffers.  t reaches
+    f's lenient kernel as a 0-d array, as eval_many passes it: numpy's
+    power of two numpy floats can round differently from its array power.
     """
-    phi = spec.phi
-    f = spec.f
+    inverse = spec.phi.inverse
+    f = kernel(spec.f, lenient=True)
+    nodes = grid.nodes
     n = grid.n
     h = grid.h
-    bounded = phi.kind is Kind.BOUNDED
-    cap = (phi.a - EPS_DOM) if bounded else np.inf
+    half = 0.5 * h
+    sixth = h / 6.0
+    bounded = spec.phi.kind is Kind.BOUNDED
+    cap = (spec.phi.a - EPS_DOM) if bounded else np.inf
 
-    u = np.array(u0, dtype=float)
-    w = np.array(w0, dtype=float)
-    m = u.shape[0]
-    U = np.empty((n, m))
-    W = np.empty((n, m))
-    U[0] = u
-    W[0] = w
+    m = len(u0)
+    Y = np.empty((n, 2, m))
+    Y[0, 0] = u0
+    Y[0, 1] = w0
+    k1, k2, k3, k4 = np.empty((4, 2, m))
     invalid = np.zeros(m, dtype=bool)
 
-    def rhs(t: float, uu: np.ndarray, ww: np.ndarray):
-        nonlocal invalid
+    def rhs(t: np.ndarray, y: np.ndarray, k: np.ndarray) -> None:
+        w = y[1]
         if bounded:
-            invalid |= np.abs(ww) > cap
-            ww = np.clip(ww, -cap, cap)
-        v = np.asarray(phi.inverse(ww), dtype=float)
-        dw = eval_many(f, t, uu, v, lenient=True)
-        return v, dw
+            np.logical_or(invalid, np.abs(w) > cap, out=invalid)
+            w = np.minimum(np.maximum(w, -cap), cap)
+        k[0] = inverse(w)
+        k[1] = f(t, y[0], k[0])
 
-    for i in range(n - 1):
-        t = grid.nodes[i]
-        k1u, k1w = rhs(t, u, w)
-        k2u, k2w = rhs(t + 0.5 * h, u + 0.5 * h * k1u, w + 0.5 * h * k1w)
-        k3u, k3w = rhs(t + 0.5 * h, u + 0.5 * h * k2u, w + 0.5 * h * k2w)
-        k4u, k4w = rhs(t + h, u + h * k3u, w + h * k3w)
-        u = u + (h / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-        w = w + (h / 6.0) * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
-        U[i + 1] = u
-        W[i + 1] = w
+    # a diverging trial trajectory is data: its overflow flags the column
+    with np.errstate(all="ignore"):
+        for i in range(n - 1):
+            y = Y[i]
+            t = nodes[i]
+            tm = np.asarray(t + half)
+            rhs(np.asarray(t), y, k1)
+            rhs(tm, y + half * k1, k2)
+            rhs(tm, y + half * k2, k3)
+            rhs(np.asarray(t + h), y + h * k3, k4)
+            np.add(y, sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4), out=Y[i + 1])
 
+    U, W = Y[:, 0], Y[:, 1]
     invalid |= ~np.isfinite(U[-1]) | ~np.isfinite(W[-1])
-    U[:, invalid] = np.nan
-    W[:, invalid] = np.nan
+    Y[:, :, invalid] = np.nan
     return U, W, invalid
 
 
 def _trajectory_function(spec: ProblemSpec, grid: Grid, column: tuple) -> GridFunction:
     """The shooting answer from the (U, W, invalid) column that integrated
-    it; W is made contiguous, as in a 1-column sweep, for phi.inverse."""
+    it; W is made contiguous for phi.inverse, so that du does not depend on
+    the batch the column came from."""
     U, W, bad = column
     if bad:
         raise OracleFailure("final shooting trajectory left the admissible range")

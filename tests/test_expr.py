@@ -416,3 +416,14 @@ def test_lenient_kernel_does_not_stand_in_for_strict():
     with pytest.raises(EvalDomainError) as info:
         eval_many(e, 0.0, u, u)
     assert info.value.index == 1
+
+
+def test_kernel_is_the_cached_entry_eval_many_uses(compiles):
+    e = parse_expr("u*v + t")
+    strict = expr_module.kernel(e)
+    assert expr_module.kernel(e) is strict
+    assert expr_module.kernel(e, lenient=True) is not strict
+    u = np.arange(3.0)
+    assert np.array_equal(eval_many(e, 1.0, u, u), u * u + 1)
+    assert compiles == [(id(e), False), (id(e), True)]
+    assert expr_module._KERNELS[(id(e), False)][1] is strict

@@ -23,6 +23,7 @@ from phibvp import (
 from phibvp import solver
 from phibvp.expr import eval_many
 from phibvp.function_space import Grid, l1_norm
+from phibvp.homeomorphism import EPS_DOM, Kind
 from phibvp.operators import AdmissibilityViolation
 from phibvp.solver import MAX_ITER
 
@@ -315,6 +316,106 @@ def test_rk4_batch_invalid_columns_equal_single_runs():
     bad = _sweep_columns_alone(spec, Grid(0.1, 101), np.zeros(41),
                                np.linspace(-0.999, 0.999, 41))
     assert 0 < bad.sum() < 41
+
+
+def reference_rk4_batch(spec, grid, u0, w0):
+    """The RK4 sweep as it was written first: one eval_many call and one
+    (u, w) pair of array updates per stage.  The stacked sweep must match
+    it bit for bit."""
+    phi = spec.phi
+    f = spec.f
+    n = grid.n
+    h = grid.h
+    bounded = phi.kind is Kind.BOUNDED
+    cap = (phi.a - EPS_DOM) if bounded else np.inf
+
+    u = np.array(u0, dtype=float)
+    w = np.array(w0, dtype=float)
+    m = u.shape[0]
+    U = np.empty((n, m))
+    W = np.empty((n, m))
+    U[0] = u
+    W[0] = w
+    invalid = np.zeros(m, dtype=bool)
+
+    def rhs(t, uu, ww):
+        nonlocal invalid
+        if bounded:
+            invalid |= np.abs(ww) > cap
+            ww = np.clip(ww, -cap, cap)
+        v = np.asarray(phi.inverse(ww), dtype=float)
+        dw = eval_many(f, t, uu, v, lenient=True)
+        return v, dw
+
+    for i in range(n - 1):
+        t = grid.nodes[i]
+        k1u, k1w = rhs(t, u, w)
+        k2u, k2w = rhs(t + 0.5 * h, u + 0.5 * h * k1u, w + 0.5 * h * k1w)
+        k3u, k3w = rhs(t + 0.5 * h, u + 0.5 * h * k2u, w + 0.5 * h * k2w)
+        k4u, k4w = rhs(t + h, u + h * k3u, w + h * k3w)
+        u = u + (h / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
+        w = w + (h / 6.0) * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
+        U[i + 1] = u
+        W[i + 1] = w
+
+    invalid |= ~np.isfinite(U[-1]) | ~np.isfinite(W[-1])
+    U[:, invalid] = np.nan
+    W[:, invalid] = np.nan
+    return U, W, invalid
+
+
+def _assert_sweep_matches_reference(spec, u0, w0):
+    grid = Grid(spec.T, spec.grid_n)
+    got = solver._rk4_batch(spec, grid, u0, w0)
+    # the reference overflows outside any errstate on a faulting forcing
+    with np.errstate(all="ignore"):
+        want = reference_rk4_batch(spec, grid, u0, w0)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b, equal_nan=True)
+    return got[2]
+
+
+@pytest.mark.parametrize("cls,phi_args,f_src,T,res_cap,gap_cap",
+                         BATTERY, ids=BATTERY_IDS)
+def test_rk4_batch_matches_reference_on_battery(cls, phi_args, f_src, T, res_cap,
+                                                gap_cap):
+    spec = make_spec(cls, phi_args, f_src, T)
+    w0 = spec.phi.forward(np.array([-0.4, 0.2, 0.45]))
+    bad = _assert_sweep_matches_reference(spec, np.array([0.0, 0.3, -0.2]), w0)
+    assert not bad.any()
+
+
+def test_rk4_batch_matches_reference_on_invalid_scan():
+    # w' = -5 carries w0 < -0.5 out of the curvature range (-1, 1)
+    spec = make_spec(D, ("mean_curvature", 1.0), "-5", 0.1, grid_n=101)
+    bad = _assert_sweep_matches_reference(spec, np.zeros(41),
+                                          np.linspace(-0.999, 0.999, 41))
+    assert 0 < bad.sum() < 41
+
+
+@pytest.mark.parametrize("f_src,faults", [
+    ("cos(t)", False),  # the kernel's result is 0-d, broadcast to the batch
+    ("1/t", True),      # lenient faults at t = 0: inf, then nan
+    ("t/t", True),
+    # t enters the kernel as a 0-d array: a numpy float would take numpy's
+    # scalar power, which can differ from the array power in the last bit
+    ("t^t + u", False),
+], ids=["cos_t", "one_over_t", "t_over_t", "t_pow_t"])
+def test_rk4_batch_matches_reference_on_t_forcings(f_src, faults):
+    spec = make_spec(C, ("identity",), f_src, 1.0, grid_n=101)
+    bad = _assert_sweep_matches_reference(spec, np.array([0.0, 0.5, -1.0]),
+                                          np.array([0.0, 1.0, 0.25]))
+    assert bad.all() == faults and bad.any() == faults
+
+
+def test_rk4_batch_flags_overflow_without_a_warning():
+    # the sweep's own arithmetic overflows; tier-1 turns a RuntimeWarning
+    # into an error, and a diverging trial trajectory is data
+    spec = make_spec(C, ("identity",), "1.5e308", 1.0, grid_n=101)
+    U, W, bad = solver._rk4_batch(spec, Grid(1.0, 101), np.array([0.0, 1.0]),
+                                  np.array([0.0, 1.0]))
+    assert bad.all()
+    assert np.isnan(U).all() and np.isnan(W).all()
 
 
 @pytest.mark.parametrize("cls,phi_args,f_src,T,res_cap,gap_cap",
