@@ -7,8 +7,7 @@ from .certificates import (BoundaryZero, DegreeResult, GrowthCertificate,
                            newton_sign_sum, planar_map, winding_number)
 from .expr import (EvalDomainError, Expr, ParseError, UnknownIdentifierError,
                    eval_expr, eval_many, parse_expr, to_string, variables)
-from .function_space import (Grid, GridFunction, consistency_defect,
-                             is_consistent, zero_function)
+from .function_space import Grid, GridFunction, zero_function
 from .homeomorphism import (Homeomorphism, Kind, identity, make_homeomorphism,
                             mean_curvature, parse_phi_config, power,
                             relativistic)
@@ -32,8 +31,8 @@ __all__ = [
     "QphiResult", "SampleBox", "SignCertificate", "SolveReport",
     "UnknownIdentifierError", "Verdict", "apply_fixed_point_map",
     "bc_residual", "brouwer_degree", "check_growth", "check_signs",
-    "classic_threepoint_map", "consistency_defect", "dirichlet_map",
-    "eval_expr", "eval_many", "identity", "is_consistent",
+    "classic_threepoint_map", "dirichlet_map",
+    "eval_expr", "eval_many", "identity",
     "make_homeomorphism", "mean_curvature", "nemytskii", "newton_sign_sum",
     "ode_residual", "ode_residual_samples", "omega_margin",
     "parse_expr", "parse_phi_config", "planar_map", "power", "q_phi",

@@ -44,6 +44,10 @@ class BoundaryZero(Exception):
             f"planar map has norm {min_norm!r} on the circle of radius {rho!r} "
             f"(scale {scale!r}); degree undefined here")
 
+    def report_text(self) -> str:
+        return (f"rho={self.rho!r}\nwinding=undefined\n"
+                f"min_boundary_norm={self.min_norm!r}\n")
+
 
 class InconsistentDerivative(Exception):
     """The supplied derivative expression disagrees with a finite

@@ -285,8 +285,7 @@ def cmd_check(args) -> int:
             try:
                 deg = brouwer_degree(f, T, rho)
             except BoundaryZero as exc:
-                text += (f"rho={rho!r}\nwinding=undefined\n"
-                         f"min_boundary_norm={exc.min_norm!r}\n")
+                text += exc.report_text()
                 winding_ok = False
                 print(f"degree undefined: {exc}", file=sys.stderr)
             else:
@@ -333,10 +332,8 @@ def cmd_degree(args) -> int:
     try:
         result = brouwer_degree(f, T, rho)
     except BoundaryZero as exc:
-        text = (f"rho={rho!r}\n"
-                "winding=undefined\n"
-                f"min_boundary_norm={exc.min_norm!r}\n"
-                "detail=map vanishes on the circle, pick another radius\n")
+        text = (exc.report_text()
+                + "detail=map vanishes on the circle, pick another radius\n")
         _write(_out_path(base, ".degree.txt"), text)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNCERTIFIED

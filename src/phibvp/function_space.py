@@ -51,11 +51,9 @@ def _as_samples(grid: Grid, v: np.ndarray) -> np.ndarray:
 class GridFunction:
     """C^1 function on a grid: node values u and node derivative values du.
 
-    The pair is required to be consistent: u(t_i) - u(0) must agree with
-    the trapezoid integral of du up to t_i within ``consistency_tolerance``.
-    Construction does not enforce this (operator code builds exact pairs by
-    construction); ``consistency_defect`` measures it and the test suite
-    checks it on everything the solver emits.
+    Construction checks shape and finiteness only, not that du is the
+    derivative of u.  The fixed-point maps build u as the trapezoid
+    integral of du; the shooting oracle integrates both with RK4.
     """
 
     grid: Grid
@@ -112,16 +110,3 @@ def sup_norm(v: np.ndarray) -> float:
 def l1_norm(grid: Grid, v: np.ndarray) -> float:
     return integral(grid, np.abs(_as_samples(grid, v)))
 
-
-def consistency_defect(f: GridFunction) -> float:
-    """max_i |u(t_i) - u(0) - integral_0^{t_i} du|."""
-    rebuilt = f.u[0] + cumulative_integral_from_0(f.grid, f.du)
-    return float(np.max(np.abs(f.u - rebuilt)))
-
-
-def consistency_tolerance(f: GridFunction) -> float:
-    return 1e-6 * (1.0 + sup_norm(f.du))
-
-
-def is_consistent(f: GridFunction) -> bool:
-    return consistency_defect(f) <= consistency_tolerance(f)

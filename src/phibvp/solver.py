@@ -14,8 +14,9 @@ silently.
 
 ``shooting_oracle`` solves the same problem by a genuinely different
 discretization: RK4 time stepping of the first-order system in
-(u, phi(u')) with scalar or two-parameter root finding on the initial
-data.  Tests compare the two routes; they share no discretization code.
+(u, phi(u')), with damped Newton on the initial data from the best of a
+fixed list of candidate starts, all scored in one sweep.  Tests compare
+the two routes; they share no discretization code.
 """
 
 from __future__ import annotations
@@ -164,7 +165,7 @@ class NonConvergence(Exception):
 
 
 class OracleFailure(Exception):
-    """The shooting oracle could not bracket or polish a root."""
+    """No candidate start of the shooting oracle converged."""
 
 
 def apply_fixed_point_map(spec: ProblemSpec, w: GridFunction,
@@ -457,114 +458,85 @@ def _rk4_batch(spec: ProblemSpec, grid: Grid, u0: np.ndarray,
     return U, W, invalid
 
 
-def _trajectory_function(spec: ProblemSpec, grid: Grid, column: tuple) -> GridFunction:
-    """The shooting answer from the (U, W, invalid) column that integrated
-    it; W is made contiguous for phi.inverse, so that du does not depend on
-    the batch the column came from."""
-    U, W, bad = column
-    if bad:
-        raise OracleFailure("final shooting trajectory left the admissible range")
-    du = np.asarray(spec.phi.inverse(np.ascontiguousarray(W)), dtype=float)
-    return GridFunction(grid, U, du)
+def _trajectory_function(spec: ProblemSpec, grid: Grid, batch: tuple,
+                         c: int) -> GridFunction:
+    """The shooting answer from column c of the (U, W, invalid) batch that
+    integrated it; W is made contiguous for phi.inverse, so that du does not
+    depend on the batch the column came from."""
+    U, W, _ = batch
+    du = np.asarray(spec.phi.inverse(np.ascontiguousarray(W[:, c])), dtype=float)
+    return GridFunction(grid, U[:, c], du)
 
 
-def _shoot_dirichlet(spec: ProblemSpec, grid: Grid) -> GridFunction:
-    """Scan w0 over phi's range, then brentq on u(T) in the first bracket.
-    ``seen`` keeps this call's integrated columns by w0, so neither bracket
-    end nor the root is integrated twice.  It starts from copies of the two
-    bracket columns, since views would keep the 41-column scan alive."""
-    a = spec.phi.a
-    margin = 1e-6 * a
-    cands = np.linspace(-a + margin, a - margin, _SHOOT_SCAN)
-    U, W, bad = _rk4_batch(spec, grid, np.zeros(_SHOOT_SCAN), cands)
-    end = U[-1]
-    bracket = None
-    for i in range(_SHOOT_SCAN - 1):
-        if bad[i] or bad[i + 1]:
-            continue
-        if end[i] == 0.0:
-            return _trajectory_function(spec, grid, (U[:, i], W[:, i], bad[i]))
-        if end[i] * end[i + 1] <= 0.0:
-            bracket = (float(cands[i]), float(cands[i + 1]))
-            break
-    if bracket is None:
-        raise OracleFailure("no sign change of u(T) over the shooting scan")
-    seen = {float(cands[j]): (U[:, j].copy(), W[:, j].copy(), bad[j])
-            for j in (i, i + 1)}
-    del U, W, end
+def _shoot(spec: ProblemSpec, grid: Grid, candidates: np.ndarray) -> GridFunction:
+    """Damped Newton (FD Jacobian, step 1e-6) on the initial data, from the
+    candidate starts in order of score.
 
-    def end_value(w0: float) -> float:
-        if w0 not in seen:
-            Us, Ws, b = _rk4_batch(spec, grid, np.zeros(1), np.array([w0]))
-            seen[w0] = Us[:, 0], Ws[:, 0], b[0]
-        Us, _, b = seen[w0]
-        if b:
-            raise OracleFailure(f"trajectory at w0={w0!r} left the admissible range")
-        return float(Us[-1])
-
-    root = scipy.optimize.brentq(end_value, bracket[0], bracket[1],
-                                 xtol=1e-13, rtol=4 * np.finfo(float).eps,
-                                 maxiter=200)
-    end_value(root)  # brentq returns a point it evaluated; else one sweep
-    return _trajectory_function(spec, grid, seen[root])
-
-
-def _shoot_two_point_newton(spec: ProblemSpec, grid: Grid,
-                            starts: list[tuple[float, float]]) -> GridFunction:
-    """Damped Newton (FD Jacobian, step 1e-6) on the two initial values.
-
-    Residual for the classic class: (u'(T) - u'(0), u(T) - u'(0));
-    for the singular class: (u(T) - u(0), u'(T) - u(0)).  Each iterate and
-    trial is integrated with its two FD neighbours in one sweep, so an
-    accepted trial already carries its next Jacobian and its trajectory.
+    A candidate row is (w0,) for the Dirichlet class, whose u(0) = 0 is
+    fixed, and (u0, w0) otherwise.  Residuals: u(T) for the Dirichlet class;
+    (u'(T) - u'(0), u(T) - u'(0)) for the classic class; (u(T) - u(0),
+    u'(T) - u(0)) for the singular class.  Every point is integrated in one
+    sweep with its FD neighbours, so one sweep scores all candidates (max |R|
+    over a point and its neighbours, +inf if any is invalid) and gives each
+    its Jacobian, and an accepted trial already carries its next Jacobian
+    and its trajectory.  A candidate that already meets the tolerance is
+    the answer as it stands.
     """
     phi = spec.phi
-    classic = spec.problem is ProblemClass.THREEPOINT_CLASSIC
+    d = candidates.shape[1]
+    offsets = _FD_STEP * np.eye(d + 1, d, -1)
 
-    def sweep(p: np.ndarray) -> tuple[np.ndarray, tuple]:
-        points = np.array([p, p + [_FD_STEP, 0.0], p + [0.0, _FD_STEP]])
-        U, W, bad = _rk4_batch(spec, grid, points[:, 0], points[:, 1])
-        with np.errstate(all="ignore"):
-            v0 = np.asarray(phi.inverse(W[0]), dtype=float)
-            vT = np.asarray(phi.inverse(W[-1]), dtype=float)
-        if classic:
-            out = np.stack([vT - v0, U[-1] - v0], axis=1)
+    def sweep(P: np.ndarray) -> tuple[np.ndarray, tuple]:
+        X = (P[:, None, :] + offsets).reshape(-1, d)
+        u0 = np.zeros(len(X)) if d == 1 else X[:, 0]
+        U, W, bad = _rk4_batch(spec, grid, u0, X[:, -1])
+        if spec.problem is ProblemClass.DIRICHLET_BOUNDED:
+            out = U[-1, :, None].copy()
         else:
-            out = np.stack([U[-1] - U[0], vT - U[0]], axis=1)
+            with np.errstate(all="ignore"):
+                v0 = np.asarray(phi.inverse(W[0]), dtype=float)
+                vT = np.asarray(phi.inverse(W[-1]), dtype=float)
+            if spec.problem is ProblemClass.THREEPOINT_CLASSIC:
+                out = np.stack([vT - v0, U[-1] - v0], axis=1)
+            else:
+                out = np.stack([U[-1] - U[0], vT - U[0]], axis=1)
         out[bad] = np.nan
-        return out, (U[:, 0], W[:, 0], bad[0])
+        return out.reshape(len(P), d + 1, d), (U, W, bad)
 
-    for start in starts:
-        p = np.array(start, dtype=float)
-        R, column = sweep(p)
-        ok = False
+    def converged(p: np.ndarray, r0: np.ndarray) -> bool:
+        return float(np.max(np.abs(r0))) <= 1e-11 * (1.0 + float(np.max(np.abs(p))))
+
+    R, batch = sweep(candidates)
+    score = np.max(np.abs(R), axis=(1, 2))
+    order = [j for j in np.argsort(score, kind="stable") if np.isfinite(score[j])]
+    for j in order:
+        if converged(candidates[j], R[j, 0]):
+            return _trajectory_function(spec, grid, batch, j * (d + 1))
+    # Newton needs only R from the candidate sweep; its trajectories (82
+    # columns for the Dirichlet class) need not stay alive meanwhile
+    del batch
+
+    for j in order:
+        p, Rp = candidates[j], R[j]
         for _ in range(_NEWTON_STEPS):
-            if not np.all(np.isfinite(R[0])):
-                break
-            r0 = R[0]
+            r0 = Rp[0]
             nr0 = float(np.max(np.abs(r0)))
-            if nr0 <= 1e-11 * (1.0 + float(np.max(np.abs(p)))):
-                ok = True
-                break
-            J = np.stack([(R[1] - r0) / _FD_STEP, (R[2] - r0) / _FD_STEP], axis=1)
             try:
-                step = np.linalg.solve(J, -r0)
+                step = np.linalg.solve((Rp[1:] - r0).T / _FD_STEP, -r0)
             except np.linalg.LinAlgError:
                 break
             alpha = 1.0
-            improved = False
             while alpha >= 2.0 ** -20:
                 trial = p + alpha * step
-                Rt, trial_column = sweep(trial)
-                if np.all(np.isfinite(Rt[0])) and np.max(np.abs(Rt[0])) < nr0:
-                    p, R, column = trial, Rt, trial_column
-                    improved = True
+                Rt, batch = sweep(trial[None])
+                if np.all(np.isfinite(Rt)) and np.max(np.abs(Rt[0, 0])) < nr0:
                     break
                 alpha /= 2.0
-            if not improved:
+            else:  # no trial improved on p
                 break
-        if ok:
-            return _trajectory_function(spec, grid, column)
+            p, Rp = trial, Rt[0]
+            if converged(p, Rp[0]):
+                return _trajectory_function(spec, grid, batch, 0)
     raise OracleFailure("no Newton start converged in the shooting oracle")
 
 
@@ -576,14 +548,15 @@ def shooting_oracle(spec: ProblemSpec) -> GridFunction:
     cross-validation, not as the primary solver.
     """
     grid = Grid(spec.T, spec.grid_n)
+    phi = spec.phi
     if spec.problem is ProblemClass.DIRICHLET_BOUNDED:
-        return _shoot_dirichlet(spec, grid)
-
-    if spec.problem is ProblemClass.THREEPOINT_CLASSIC:
+        # keeps the top candidate's FD neighbour w0 + _FD_STEP inside (-a, a)
+        margin = 1e-6 * phi.a + _FD_STEP
+        starts = np.linspace(-phi.a + margin, phi.a - margin, _SHOOT_SCAN)[:, None]
+    elif spec.problem is ProblemClass.THREEPOINT_CLASSIC:
         slopes = (0.5, -0.5, 0.0, 1.0, -1.0, 2.0, -2.0, 0.25, -0.25)
-        starts = [(s * (1.0 - spec.T), float(spec.phi.forward(s))) for s in slopes]
+        starts = [(s * (1.0 - spec.T), float(phi.forward(s))) for s in slopes]
     else:
-        a = spec.phi.a
         levels = (0.0, 0.3, -0.3, 0.6, -0.6)
-        starts = [(c * a, float(spec.phi.forward(c * a * 0.9))) for c in levels]
-    return _shoot_two_point_newton(spec, grid, starts)
+        starts = [(c * phi.a, float(phi.forward(c * phi.a * 0.9))) for c in levels]
+    return _shoot(spec, grid, np.array(starts, dtype=float))

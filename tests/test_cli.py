@@ -10,8 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from phibvp import (ProblemClass, ProblemSpec, make_homeomorphism,
-                    parse_expr, solve)
+from phibvp import (BoundaryZero, ProblemClass, ProblemSpec, cli,
+                    make_homeomorphism, parse_expr, solve)
 from phibvp.cli import (
     EXIT_BAD_INPUT,
     EXIT_GUARD,
@@ -213,6 +213,20 @@ def test_check_classic_respects_larger_requested_radius(tmp_path, capsys):
     assert main(["check", path]) == EXIT_OK
     cert = (tmp_path / "prob.certificate.txt").read_text()
     assert "rho=6.0" in cert
+
+
+def test_check_classic_reports_an_undefined_degree(tmp_path, capsys, monkeypatch):
+    # the sign bounds pass, but the planar map vanishes on the derived circle
+    def boundary_zero(f, T, rho):
+        raise BoundaryZero(rho, 1.25e-17, 0.5)
+
+    monkeypatch.setattr(cli, "brouwer_degree", boundary_zero)
+    path = write(tmp_path, CLASSIC_BENCH)
+    assert main(["check", path]) == EXIT_UNCERTIFIED
+    assert "degree undefined:" in capsys.readouterr().err
+    cert = (tmp_path / "prob.certificate.txt").read_text()
+    assert cert.endswith("samples=101x101x101\nrho=4.3267487109222245\n"
+                         "winding=undefined\nmin_boundary_norm=1.25e-17\n")
 
 
 @pytest.mark.parametrize("text", [

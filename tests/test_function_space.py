@@ -4,11 +4,9 @@ import pytest
 from phibvp.function_space import (
     Grid,
     GridFunction,
-    consistency_defect,
     cumulative_integral_from_0,
     cumulative_integral_to_T,
     integral,
-    is_consistent,
     l1_norm,
     mean,
     sup_norm,
@@ -92,22 +90,7 @@ def test_helpers():
     assert l1_norm(g, np.abs(v)) == pytest.approx(np.trapezoid(np.abs(v), g.nodes))
 
 
-def test_consistency_of_exact_pair():
-    g = Grid(1.5, 801)
-    f = GridFunction(g, np.sin(g.nodes), np.cos(g.nodes))
-    # u(t) = u(0) + int du holds to quadrature error only
-    assert consistency_defect(f) < 1e-6
-    assert is_consistent(f)
-
-
-def test_inconsistent_pair_detected():
-    g = Grid(1.0, 101)
-    f = GridFunction(g, np.sin(g.nodes), -np.cos(g.nodes))
-    assert not is_consistent(f)
-
-
 def test_zero_function():
     g = Grid(1.0, 11)
     z = zero_function(g)
     assert np.all(z.u == 0.0) and np.all(z.du == 0.0)
-    assert is_consistent(z)
