@@ -6,7 +6,7 @@ from .certificates import (BoundaryZero, DegreeResult, GrowthCertificate,
                            Verdict, brouwer_degree, check_growth, check_signs,
                            newton_sign_sum, planar_map, winding_number)
 from .expr import (EvalDomainError, Expr, ParseError, UnknownIdentifierError,
-                   eval_expr, eval_many, parse_expr, to_string, variables)
+                   eval_expr, eval_many, parse_expr, variables)
 from .function_space import Grid, GridFunction, zero_function
 from .homeomorphism import (Homeomorphism, Kind, identity, make_homeomorphism,
                             mean_curvature, parse_phi_config, power,
@@ -37,6 +37,6 @@ __all__ = [
     "ode_residual", "ode_residual_samples", "omega_margin",
     "parse_expr", "parse_phi_config", "planar_map", "power", "q_phi",
     "relativistic", "shooting_oracle",
-    "singular_threepoint_map", "solve", "to_string", "variables",
+    "singular_threepoint_map", "solve", "variables",
     "winding_number", "zero_function",
 ]

@@ -175,29 +175,29 @@ def _probe_derivative(n: Expr, dn: Expr, x_max: float) -> None:
 
 
 def _f_slice(f: Expr, t: float, xs: np.ndarray, ys: np.ndarray,
-             box: SampleBox, derived: bool) -> np.ndarray:
+             box: SampleBox) -> np.ndarray:
     """f at time t on the (x, y) samples, indexed [x, y].  A domain fault
-    of f names its sample point and the box, since a derived box can be
+    of f names its sample point and the box, since the derived box can be
     far larger than the problem suggests."""
     try:
         return eval_many(f, np.full((1, 1), t), xs[:, None], ys[None, :])
     except EvalDomainError as exc:
         i, j = exc.index
-        origin = "derived" if derived else "given"
         raise EvalDomainError(
             f"f: {exc.fault} at (t, u, v) = ({float(t)!r}, {float(xs[i])!r}, "
-            f"{float(ys[j])!r}) on the {origin} sample box |u| <= "
+            f"{float(ys[j])!r}) on the derived sample box |u| <= "
             f"{box.x_max!r}, |v| <= {box.y_max!r}") from None
 
 
 def check_growth(phi: Homeomorphism, f: Expr, h: Expr, n: Expr, dn: Expr,
-                 T: float, box: SampleBox | None = None) -> GrowthCertificate:
+                 T: float) -> GrowthCertificate:
     """Certify the Dirichlet existence hypotheses by grid sampling.
 
     Conditions: h >= 0; integral of h below a/2; phi(y)*dn(x)*y >= 0 (up
     to slack); |f(t,x,y)| <= f(t,x,y)*n(x) + h(t) (up to slack); n(0) = 0.
     On success L = max |phi^{-1}(+-2*integral h)| bounds the derivative of
-    any solution and L*(1+T) bounds its C^1 norm.
+    any solution and c1_bound = L*(1+T) bounds its C^1 norm; the box
+    sampled is the derived one, |x|, |y| <= max(10, 2*c1_bound).
     """
     if phi.kind is not Kind.BOUNDED:
         raise ValueError("growth certificates need a bounded-range phi")
@@ -215,15 +215,13 @@ def check_growth(phi: Homeomorphism, f: Expr, h: Expr, n: Expr, dn: Expr,
         return GrowthCertificate(
             Verdict("not_applicable",
                     detail=f"h_l1 = {h_l1!r} >= a/2 = {half_a!r}"),
-            h_l1, half_a, None, None, box)
+            h_l1, half_a, None, None, None)
 
     L = max(abs(float(phi.inverse(-2.0 * h_l1))),
             abs(float(phi.inverse(2.0 * h_l1))))
     c1_bound = L + L * T
-    derived = box is None
-    if derived:
-        half = max(10.0, 2.0 * c1_bound)
-        box = SampleBox(half, half)
+    half = max(10.0, 2.0 * c1_bound)
+    box = SampleBox(half, half)
 
     _probe_derivative(n, dn, box.x_max)
 
@@ -259,7 +257,7 @@ def check_growth(phi: Homeomorphism, f: Expr, h: Expr, n: Expr, dn: Expr,
 
     # (iv) |f| <= f*n(x) + h(t) + slack on the full box, sliced along t
     for it, t in enumerate(ts):
-        fvals = _f_slice(f, t, xs, ys, box, derived)
+        fvals = _f_slice(f, t, xs, ys, box)
         gap = np.abs(fvals) - (fvals * n_vals[:, None] + h_vals[it] + GROWTH_SLACK)
         bad3 = gap > 0.0
         if np.any(bad3):
@@ -272,15 +270,15 @@ def check_growth(phi: Homeomorphism, f: Expr, h: Expr, n: Expr, dn: Expr,
 
 
 def check_signs(phi: Homeomorphism, f: Expr, m1: float, m2: float, c: Expr,
-                T: float, box: SampleBox | None = None) -> SignCertificate:
+                T: float) -> SignCertificate:
     """Certify the classic-class existence hypotheses by grid sampling.
 
     Conditions: f >= c(t) everywhere on the box, and the strict sign
     condition f(t,x,y) > 0 for y >= m2, f(t,x,y) < 0 for y <= m1 (a
     pointwise surrogate of the integral condition; strictly stronger).
     On success r = max |phi^{-1}(+-(L + 2*integral of c^-))| bounds the
-    derivative of any solution and rho_min = r*(2+T) is a valid degree
-    radius.
+    derivative of any solution, rho_min = r*(2+T) is a valid degree radius
+    and the box sampled is the derived one, |x|, |y| <= max(10, 2*(r + r*T)).
     """
     if phi.kind is not Kind.CLASSIC:
         raise ValueError("sign certificates need a phi onto all of R")
@@ -300,10 +298,8 @@ def check_signs(phi: Homeomorphism, f: Expr, m1: float, m2: float, c: Expr,
     r = max(abs(float(phi.inverse(L + 2.0 * c_neg_l1))),
             abs(float(phi.inverse(-L - 2.0 * c_neg_l1))))
     rho_min = r * (2.0 + T)
-    derived = box is None
-    if derived:
-        half = max(10.0, 2.0 * (r + r * T))
-        box = SampleBox(half, half)
+    half = max(10.0, 2.0 * (r + r * T))
+    box = SampleBox(half, half)
 
     xs = np.linspace(-box.x_max, box.x_max, DEFAULT_SAMPLES)
     ys = np.unique(np.concatenate(
@@ -316,7 +312,7 @@ def check_signs(phi: Homeomorphism, f: Expr, m1: float, m2: float, c: Expr,
                                m1, m2, c_neg_l1, L, None, None, box)
 
     for it, t in enumerate(ts):
-        fvals = _f_slice(f, t, xs, ys, box, derived)
+        fvals = _f_slice(f, t, xs, ys, box)
         bad = fvals < c_vals[it] - SIGN_SLACK
         if np.any(bad):
             i, j = np.unravel_index(int(np.argmax(bad)), bad.shape)

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .certificates import (BoundaryZero, InconsistentDerivative, SampleBox,
+from .certificates import (BoundaryZero, InconsistentDerivative,
                            brouwer_degree, check_growth, check_signs,
                            eval_profile)
 # eval_many is unused here, but bench/tracing.py patches this name

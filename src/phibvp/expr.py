@@ -162,7 +162,7 @@ class _Parser:
         if tok.kind == "num":
             value = float(tok.text)
             if math.isinf(value):
-                # to_string could not print it back as a literal
+                # an out-of-range literal would turn into inf unnoticed
                 raise ParseError(f"number {tok.text!r} overflows", tok.pos)
             return Num(value)
         if tok.kind == "ident":
@@ -312,33 +312,3 @@ def eval_many(e: Expr, t, u, v, lenient: bool = False) -> np.ndarray:
             out = np.ascontiguousarray(np.broadcast_to(out, shape))
     return out
 
-
-# ------------------------------------------------------------------ printing
-
-def _prec_of(e: Expr) -> int:
-    if isinstance(e, BinOp):
-        return _BIN_PREC[e.op]
-    if isinstance(e, Neg) or (isinstance(e, Num) and e.value < 0):
-        return _UNARY_PREC  # a negative literal prints with a leading minus
-    return 100
-
-
-def to_string(e: Expr) -> str:
-    """Canonical rendering; parse(to_string(parse(s))) == parse(s)."""
-
-    def wrap(child: Expr, need: int) -> str:
-        s = to_string(child)
-        return f"({s})" if _prec_of(child) < need else s
-
-    if isinstance(e, Num):
-        return repr(e.value)
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Neg):
-        return "-" + wrap(e.operand, _UNARY_PREC)
-    if isinstance(e, Call):
-        return f"{e.func}({to_string(e.arg)})"
-    p = _BIN_PREC[e.op]
-    # ^ is right associative: parenthesize its left operand at equal precedence
-    left, right = (p + 1, p) if e.op == "^" else (p, p + 1)
-    return f"{wrap(e.left, left)} {e.op} {wrap(e.right, right)}"

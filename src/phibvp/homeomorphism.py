@@ -48,11 +48,6 @@ class Homeomorphism:
     def __post_init__(self) -> None:
         _validate(self)
 
-    def config_string(self) -> str:
-        if self.params:
-            return self.name + " " + " ".join(repr(p) for p in self.params)
-        return self.name
-
 
 def _probe_points(hi: float) -> np.ndarray:
     # golden-ratio low-discrepancy points in (-hi, hi), symmetric-ish

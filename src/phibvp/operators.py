@@ -8,6 +8,7 @@ phi^{-1}(h - s) over [0, T].
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,13 +46,12 @@ class NoSignChangeError(Exception):
 class AdmissibilityViolation(Exception):
     """An iterate left the open set where the Dirichlet map is defined."""
 
-    def __init__(self, value: float, bound: float, lam: float | None = None):
+    def __init__(self, value: float, bound: float, lam: float):
         self.value = value
         self.bound = bound
         self.lam = lam
-        at = f" at lambda={lam!r}" if lam is not None else ""
-        super().__init__(
-            f"iterate inadmissible{at}: sup-norm {value!r} reaches bound {bound!r}")
+        super().__init__(f"iterate inadmissible at lambda={lam!r}: "
+                         f"sup-norm {value!r} reaches bound {bound!r}")
 
 
 @dataclass(frozen=True)
@@ -88,7 +88,8 @@ def q_phi(phi: Homeomorphism, grid: Grid, h: np.ndarray) -> QphiResult:
     h - s stay in (-a, a) because sup|h| < a/2 is required up front.
     brentq narrows the bracket to a few ulps of its scale (xtol and
     scipy's default rtol of 4 eps), at most QPHI_MAX_ITER steps; a
-    bracket without a sign change means corrupt input.
+    bracket without a sign change means corrupt input, and a G that
+    overflows raises ValueError.
     """
     h = np.asarray(h, dtype=float)
     if h.shape != (grid.n,):
@@ -103,7 +104,11 @@ def q_phi(phi: Homeomorphism, grid: Grid, h: np.ndarray) -> QphiResult:
             raise BoundedPreconditionError(sup_h, phi.a / 2.0)
 
     def G(s: float) -> float:
-        return integral(grid, phi.inverse(h - s))
+        val = integral(grid, phi.inverse(h - s))
+        if not math.isfinite(val):
+            raise OverflowError(
+                f"the integral of phi^-1(h - s) overflows at s = {s!r}")
+        return val
 
     scale = max(1.0, abs(hm), abs(hM))
     if hM - hm <= 1e-15 * scale:
@@ -111,8 +116,12 @@ def q_phi(phi: Homeomorphism, grid: Grid, h: np.ndarray) -> QphiResult:
         return QphiResult(s, G(s), 0)
 
     try:
-        s, info = brentq(G, hm, hM, xtol=4e-16 * scale, maxiter=QPHI_MAX_ITER,
-                         full_output=True, disp=False)
+        # numpy's overflow warning would not say which input overflowed
+        with np.errstate(over="ignore", invalid="ignore"):
+            s, info = brentq(G, hm, hM, xtol=4e-16 * scale, disp=False,
+                             maxiter=QPHI_MAX_ITER, full_output=True)
+    except OverflowError as exc:
+        raise ValueError(str(exc)) from None
     except ValueError as exc:
         raise NoSignChangeError(
             f"no sign change of G on [{hm!r}, {hM!r}] ({exc}): corrupt input"
@@ -120,7 +129,7 @@ def q_phi(phi: Homeomorphism, grid: Grid, h: np.ndarray) -> QphiResult:
     return QphiResult(s, G(s), info.function_calls + 1)
 
 
-def _inverse_guarded(phi: Homeomorphism, x: np.ndarray, lam: float | None) -> np.ndarray:
+def _inverse_guarded(phi: Homeomorphism, x: np.ndarray, lam: float) -> np.ndarray:
     """Vectorized phi^{-1} with the bounded-range boundary guard."""
     if phi.kind is Kind.BOUNDED:
         worst = sup_norm(x)

@@ -78,14 +78,7 @@ _REQUIRED_KIND = {
 @dataclass(frozen=True)
 class ProblemSpec:
     """A boundary value problem instance plus the solver settings that
-    callers vary: grid size, tolerance, homotopy step and method.
-
-    method: "auto" runs damped fixed-point iteration and falls back to
-    Newton-Krylov on the residual if a homotopy stage stalls (its best
-    residual does not halve in 50 iterations) or fails; "picard" disables
-    the fallback, spends the whole MAX_ITER budget on every stage and
-    reports non-convergence instead.
-    """
+    callers vary: grid size, tolerance and homotopy step."""
 
     problem: ProblemClass
     phi: Homeomorphism
@@ -94,7 +87,6 @@ class ProblemSpec:
     grid_n: int = 1001
     tol_fp: float = 1e-10
     lambda_step: float = 0.1
-    method: str = "auto"
 
     def __post_init__(self) -> None:
         need = _REQUIRED_KIND[self.problem]
@@ -112,8 +104,6 @@ class ProblemSpec:
         if not _LAMBDA_STEP_MIN <= self.lambda_step <= 1.0:
             raise ValueError(f"lambda_step must lie in [{_LAMBDA_STEP_MIN:g}, 1], "
                              f"got {self.lambda_step!r}")
-        if self.method not in ("auto", "picard"):
-            raise ValueError(f"unknown method {self.method!r}")
 
 
 @dataclass
@@ -229,7 +219,7 @@ def _picard_stage(spec: ProblemSpec, lam: float, u: GridFunction,
             mark_r, mark_k = best_r, k
         if not np.isfinite(r) or r > _DIVERGENCE_CAP:
             return _StageResult(best_u, k, False, best_r, "diverged")
-        if spec.method == "auto" and k - mark_k >= _STALL_WINDOW:
+        if k - mark_k >= _STALL_WINDOW:
             return _StageResult(best_u, k, False, best_r, "stalled")
         theta = max(theta / 2.0, _THETA_MIN) if r > prev_r \
             else min(theta * 1.2, 1.0)
@@ -372,7 +362,7 @@ def solve(spec: ProblemSpec) -> SolveReport:
                 continue
             raise
         first = False
-        if not st.converged and spec.method == "auto":
+        if not st.converged:
             log.warning("fixed-point iteration %s; switching to Newton-Krylov",
                         _handoff_reason(st, lam))
             nst = _newton_stage(spec, lam, st.u)
@@ -401,6 +391,7 @@ def solve(spec: ProblemSpec) -> SolveReport:
 _SHOOT_SCAN = 41
 _FD_STEP = 1e-6
 _NEWTON_STEPS = 60
+_NEWTON_STALL_STEPS = 5
 
 
 def _rk4_batch(spec: ProblemSpec, grid: Grid, u0: np.ndarray,
@@ -480,7 +471,8 @@ def _shoot(spec: ProblemSpec, grid: Grid, candidates: np.ndarray) -> GridFunctio
     over a point and its neighbours, +inf if any is invalid) and gives each
     its Jacobian, and an accepted trial already carries its next Jacobian
     and its trajectory.  A candidate that already meets the tolerance is
-    the answer as it stands.
+    the answer as it stands.  A start whose max |R| has not halved in
+    _NEWTON_STALL_STEPS steps is abandoned, by Picard's stall rule.
     """
     phi = spec.phi
     d = candidates.shape[1]
@@ -518,9 +510,14 @@ def _shoot(spec: ProblemSpec, grid: Grid, candidates: np.ndarray) -> GridFunctio
 
     for j in order:
         p, Rp = candidates[j], R[j]
-        for _ in range(_NEWTON_STEPS):
+        mark_r, mark_k = np.inf, 0
+        for k in range(_NEWTON_STEPS):
             r0 = Rp[0]
             nr0 = float(np.max(np.abs(r0)))
+            if nr0 <= _STALL_FACTOR * mark_r:
+                mark_r, mark_k = nr0, k
+            elif k - mark_k >= _NEWTON_STALL_STEPS:
+                break
             try:
                 step = np.linalg.solve((Rp[1:] - r0).T / _FD_STEP, -r0)
             except np.linalg.LinAlgError:

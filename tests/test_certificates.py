@@ -96,9 +96,18 @@ class TestGrowthCertificate:
         assert "h_l1=0.4" in text
         assert "L=1.3333333333333337" in text
 
-    def test_larger_box_still_passes(self):
-        box = SampleBox(25.0, 25.0)
-        assert growth(0.1, box=box).verdict.passed
+    def test_box_is_derived_from_the_bounds(self):
+        # half-width max(10, 2*c1_bound): the floor, then the bound
+        assert growth(0.1).box == SampleBox(10.0, 10.0)
+        wide = growth(0.1, h="4.9")
+        assert wide.verdict.passed and 2.0 * wide.c1_bound > 10.0
+        assert wide.box == SampleBox(2.0 * wide.c1_bound, 2.0 * wide.c1_bound)
+        # a box of |u|, |v| <= 1 misses where this f breaks the growth
+        # bound; the derived box finds it at u = 9.2
+        cert = check_growth(MC1, parse_expr("u - 2 - u^3/100"), parse_expr("4"),
+                            parse_expr("u"), parse_expr("1"), 0.1)
+        assert cert.verdict.status == "failed_at"
+        assert cert.verdict.witness == pytest.approx((0.0, 9.2, -10.0))
 
     def test_deterministic(self):
         assert growth(0.1).report_text() == growth(0.1).report_text()
@@ -115,6 +124,15 @@ class TestSignCertificate:
         assert abs(cert.r - 3.0 ** (1.0 / 3.0)) <= 1e-12
         assert abs(cert.rho_min - 3.0 * 3.0 ** (1.0 / 3.0)) <= 1e-12
         assert cert.c_neg_l1 == 1.0
+
+    def test_box_is_derived_from_the_bounds(self):
+        # half-width max(10, 2*(r + r*T)): the floor at T = 1, the bound at 3
+        cert = check_signs(CUBE, F_CLS, -1.0, 1.0, parse_expr("-1"), 1.0)
+        assert cert.box == SampleBox(10.0, 10.0)
+        cert = check_signs(CUBE, F_CLS, -1.0, 1.0, parse_expr("-1"), 3.0)
+        half = 2.0 * (cert.r + cert.r * 3.0)
+        assert cert.verdict.passed and half > 10.0
+        assert cert.box == SampleBox(half, half)
 
     def test_report_text(self):
         cert = check_signs(CUBE, F_CLS, -1.0, 1.0, parse_expr("-1"), 1.0)

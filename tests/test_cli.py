@@ -5,6 +5,7 @@ so exit codes, printed summaries, and output files are all checked without
 spawning subprocesses.
 """
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -301,6 +302,13 @@ def test_qphi_guard_when_profile_reaches_half_range(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_qphi_overflowing_profile_is_bad_input(tmp_path, capsys):
+    path = write(tmp_path, 'phi = identity\nT = 1\nh = "1e308*t - 1e308*(1-t)"\n')
+    assert main(["qphi", path]) == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert "error: the integral of phi^-1(h - s) overflows at s = -1e+308" in err
+
+
 # ------------------------------------------------------------------ degree
 
 
@@ -396,6 +404,14 @@ def test_parse_problem_file_rejects(tmp_path, text, fragment):
     msg = str(ei.value)
     assert fragment in msg
     assert str(path) in msg  # message carries file and line
+
+
+def test_readme_key_table_is_known_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("\nKeys:\n\n", 1)[1].split("\n\n", 1)[0]
+    first_cells = [row.split("|")[1] for row in table.splitlines()[2:]]
+    listed = {key for cell in first_cells for key in re.findall(r"`(\w+)`", cell)}
+    assert listed == cli.KNOWN_KEYS
 
 
 def test_bad_input_exit_codes(tmp_path, capsys):

@@ -272,3 +272,14 @@ def test_qphi_bracket_without_sign_change_is_corrupt_input():
     grid = Grid(1.0, 11)
     with pytest.raises(NoSignChangeError, match="no sign change"):
         q_phi(not_increasing, grid, np.linspace(0.0, 1.0, 11))
+
+
+@pytest.mark.parametrize("phi", [identity(), power(4.0), relativistic(1.0)],
+                         ids=["identity", "power4", "relativistic1"])
+def test_qphi_overflow_is_named(phi):
+    # h - s spans 2e308 at the ends of the bracket, beyond the float range;
+    # that is bad input, not corrupt data, and numpy must not warn about it
+    grid = Grid(1.0, 11)
+    h = 1e308 * grid.nodes - 1e308 * (1.0 - grid.nodes)
+    with pytest.raises(ValueError, match="overflows at s = -1e"):
+        q_phi(phi, grid, h)

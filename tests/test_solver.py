@@ -13,6 +13,7 @@ import pytest
 
 from phibvp import (
     NonConvergence,
+    OracleFailure,
     ProblemClass,
     ProblemSpec,
     make_homeomorphism,
@@ -155,14 +156,17 @@ class TestClassicBenchmark:
         err = np.max(np.abs(oracle.u - np.log(2.0) * oracle.grid.nodes))
         assert err <= 1e-8  # frozen: 7.4e-15
 
-    def test_picard_only_reports_nonconvergence(self):
-        spec = make_spec(C, ("power", 4.0), "exp(v)/2 - 1", 1.0, method="picard")
+    def test_unsolvable_problem_reports_nonconvergence(self):
+        # u'' = 1 forces u'(T) - u'(0) = T, so no solution exists: the
+        # stalled Picard stage hands off, and Newton-Krylov fails as well
+        spec = make_spec(C, ("identity",), "1", 1.0, grid_n=201)
         with pytest.raises(NonConvergence) as ei:
             solve(spec)
         exc = ei.value
         assert np.isfinite(exc.best_residual)
-        assert exc.iterations >= MAX_ITER
         assert exc.report is not None and not exc.report.converged
+        assert exc.report.method == "picard+newton"
+        assert exc.iterations < MAX_ITER
         assert "converged=false" in exc.report.report_text()
 
     def test_fallback_is_announced(self, caplog):
@@ -448,6 +452,24 @@ def test_oracle_integrates_no_state_twice(monkeypatch, family, max_sweeps):
     assert np.array_equal(again.u, w.u) and np.array_equal(again.du, w.du)
 
 
+def test_oracle_gives_up_on_a_stalled_start(monkeypatch):
+    # u'(T) = u'(0) needs the integral of t - 0.5 over [0, T] to vanish, so
+    # no solution exists for T = 0.5; each Newton start must stop once its
+    # residual has not halved in 5 steps, not after 60 (2,986 sweeps)
+    rk4 = solver._rk4_batch
+    sweeps = []
+
+    def counting(*args):
+        sweeps.append(1)
+        return rk4(*args)
+
+    monkeypatch.setattr(solver, "_rk4_batch", counting)
+    spec = make_spec(C, ("power", 4.0), "t - 0.5", 0.5, grid_n=201)
+    with pytest.raises(OracleFailure):
+        shooting_oracle(spec)
+    assert len(sweeps) <= 200  # measured 180
+
+
 @pytest.mark.parametrize("k", [1.99, -1.99])
 def test_oracle_shoots_near_the_edge_of_the_range(k):
     # (phi(u'))' = k with phi(y) = y / sqrt(1 + y^2) gives phi(u') = k(t - 1/2),
@@ -511,8 +533,6 @@ def test_problem_spec_validation():
         make_spec(D, ("mean_curvature", 1.0), "u - 2", 0.1, grid_n=2)
     with pytest.raises(ValueError):
         make_spec(D, ("mean_curvature", 1.0), "u - 2", 0.1, lambda_step=0.0)
-    with pytest.raises(ValueError):
-        make_spec(D, ("mean_curvature", 1.0), "u - 2", 0.1, method="bisect")
     for tol in (float("nan"), 0.0, -1e-10, float("inf")):
         with pytest.raises(ValueError):
             make_spec(D, ("mean_curvature", 1.0), "u - 2", 0.1, tol_fp=tol)
