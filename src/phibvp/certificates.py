@@ -233,7 +233,7 @@ def check_growth(phi: Homeomorphism, f: Expr, h: Expr, n: Expr, dn: Expr,
     if np.any(bad):
         i = int(np.argmax(bad))
         return done(Verdict("failed_at", (float(ts[i]), math.nan, math.nan),
-                            f"h({ts[i]!r}) = {h_vals[i]!r} < 0"))
+                            f"h({_fmt(ts[i])}) = {_fmt(h_vals[i])} < 0"))
 
     # (v) n(0) = 0
     n_at_0 = float(eval_profile("n", n, "u", np.zeros(1))[0])
@@ -253,18 +253,28 @@ def check_growth(phi: Homeomorphism, f: Expr, h: Expr, n: Expr, dn: Expr,
     if np.any(bad2):
         i, j = np.unravel_index(int(np.argmax(bad2)), bad2.shape)
         return done(Verdict("failed_at", (math.nan, float(xs[i]), float(ys[j])),
-                            f"phi(y)*dn(x)*y = {prod[i, j]!r} < 0"))
+                            f"phi(y)*dn(x)*y = {_fmt(prod[i, j])} < 0"))
 
-    # (iv) |f| <= f*n(x) + h(t) + slack on the full box, sliced along t
-    for it, t in enumerate(ts):
-        fvals = _f_slice(f, t, xs, ys, box)
-        gap = np.abs(fvals) - (fvals * n_vals[:, None] + h_vals[it] + GROWTH_SLACK)
-        bad3 = gap > 0.0
-        if np.any(bad3):
-            i, j = np.unravel_index(int(np.argmax(bad3)), bad3.shape)
-            return done(Verdict(
-                "failed_at", (float(t), float(xs[i]), float(ys[j])),
-                f"|f| exceeds f*n+h by {gap[i, j]!r}"))
+    # (iv) |f| <= f*n(x) + h(t) + slack on the full box, sliced along t; f,
+    # n and h are finite, so only an overflow makes the bound non-finite
+    with np.errstate(over="ignore"):
+        for it, t in enumerate(ts):
+            fvals = _f_slice(f, t, xs, ys, box)
+            bound = fvals * n_vals[:, None] + h_vals[it]
+            finite = np.isfinite(bound)
+            if not finite.all():
+                i, j = np.unravel_index(int(np.argmin(finite)), finite.shape)
+                raise EvalDomainError(
+                    f"f*n+h: overflow at (t, u, v) = ({_fmt(t)}, {_fmt(xs[i])}, "
+                    f"{_fmt(ys[j])}) on the derived sample box |u| <= "
+                    f"{box.x_max!r}, |v| <= {box.y_max!r}")
+            gap = np.abs(fvals) - (bound + GROWTH_SLACK)
+            bad3 = gap > 0.0
+            if np.any(bad3):
+                i, j = np.unravel_index(int(np.argmax(bad3)), bad3.shape)
+                return done(Verdict(
+                    "failed_at", (float(t), float(xs[i]), float(ys[j])),
+                    f"|f| exceeds f*n+h by {_fmt(gap[i, j])}"))
 
     return done(Verdict("checked_on_grid"))
 
@@ -317,21 +327,21 @@ def check_signs(phi: Homeomorphism, f: Expr, m1: float, m2: float, c: Expr,
         if np.any(bad):
             i, j = np.unravel_index(int(np.argmax(bad)), bad.shape)
             return fail(float(t), float(xs[i]), float(ys[j]),
-                        f"f = {fvals[i, j]!r} < c(t) = {c_vals[it]!r}")
+                        f"f = {_fmt(fvals[i, j])} < c(t) = {_fmt(c_vals[it])}")
         high = fvals[:, upper]
         bad = high <= 0.0
         if np.any(bad):
             i, j = np.unravel_index(int(np.argmax(bad)), bad.shape)
             y = ys[upper][j]
             return fail(float(t), float(xs[i]), float(y),
-                        f"f = {high[i, j]!r} not > 0 although y >= m2")
+                        f"f = {_fmt(high[i, j])} not > 0 although y >= m2")
         low = fvals[:, lower]
         bad = low >= 0.0
         if np.any(bad):
             i, j = np.unravel_index(int(np.argmax(bad)), bad.shape)
             y = ys[lower][j]
             return fail(float(t), float(xs[i]), float(y),
-                        f"f = {low[i, j]!r} not < 0 although y <= m1")
+                        f"f = {_fmt(low[i, j])} not < 0 although y <= m1")
 
     return SignCertificate(Verdict("checked_on_grid"), m1, m2, c_neg_l1, L,
                            r, rho_min, box)

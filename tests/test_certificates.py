@@ -113,6 +113,24 @@ class TestGrowthCertificate:
         assert growth(0.1).report_text() == growth(0.1).report_text()
 
 
+@pytest.mark.parametrize("make", [
+    lambda: growth(0.2),
+    lambda: growth(0.1, h="0 - 1"),
+    lambda: growth(0.1, n="u + 1"),
+    lambda: growth(0.1, n="0 - u", dn="0 - 1"),
+    lambda: check_growth(MC1, parse_expr("u - 2 - u^3/100"), parse_expr("4"),
+                         parse_expr("u"), parse_expr("1"), 0.1),
+    lambda: check_signs(CUBE, F_CLS, -1.0, 1.0, parse_expr("0"), 1.0),
+    lambda: check_signs(CUBE, F_CLS, -1.0, float(np.log(2.0)), parse_expr("-1"), 1.0),
+    lambda: check_signs(CUBE, F_CLS, 0.8, 1.0, parse_expr("-1"), 1.0),
+], ids=["h_l1", "h", "n0", "dn", "growth", "floor", "upper", "lower"])
+def test_failure_details_print_plain_floats(make):
+    # numpy scalars print as np.float64(...) unless made floats first
+    cert = make()
+    assert not cert.verdict.passed and cert.verdict.detail
+    assert "np." not in cert.report_text()
+
+
 # ------------------------------------------------------------------- signs
 
 

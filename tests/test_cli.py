@@ -243,6 +243,25 @@ def test_check_fault_of_f_names_point_and_box(tmp_path, capsys, text):
     assert "sample index" not in err
 
 
+def test_check_overflow_of_the_growth_bound_names_point_and_box(tmp_path, capsys):
+    # T = 1e300 derives a box of half-width 4e290, where f*n overflows
+    text = DIRICHLET_BENCH.replace("T = 0.1", "T = 1e300").replace(
+        'h = "4"', 'h = "1e-310"')
+    assert main(["check", write(tmp_path, text)]) == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert "error: f*n+h: overflow at (t, u, v) = (0.0, " in err
+    assert "on the derived sample box |u| <= " in err
+
+
+def test_check_failure_detail_prints_plain_floats(tmp_path, capsys):
+    path = write(tmp_path, CLASSIC_BENCH.replace('c = "-1"', 'c = "0"'))
+    assert main(["check", path]) == EXIT_UNCERTIFIED
+    out = capsys.readouterr().out
+    cert = (tmp_path / "prob.certificate.txt").read_text()
+    assert "detail=f = -0.99" in cert and "< c(t) = 0.0" in cert
+    assert "np." not in out + cert
+
+
 @pytest.mark.parametrize("text,message", [
     (DIRICHLET_BENCH.replace('h = "4"', 'h = "4 + 1/t"'),
      "h: division by zero at t = 0.0"),

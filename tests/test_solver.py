@@ -422,32 +422,34 @@ def test_rk4_batch_flags_overflow_without_a_warning():
     assert np.isnan(U).all() and np.isnan(W).all()
 
 
-# RK4 sweeps per oracle call on each BATTERY family: the candidate sweep
-# plus one per Newton trial.  Frozen at the measured counts, but at 3 for
-# both Dirichlet families (measured 2 and 3)
-ORACLE_SWEEPS = [3, 3, 5, 4, 4, 7, 2]
+# RK4 sweeps on the requested grid per oracle call on each BATTERY family,
+# at the measured counts: the coarse root meets the tolerance there in the
+# polish's one sweep, or after one Newton step (singular-a)
+FINE_SWEEPS = [1, 1, 2, 1, 1, 1, 1]
 
 
-@pytest.mark.parametrize("family,max_sweeps", list(zip(BATTERY, ORACLE_SWEEPS)),
+@pytest.mark.parametrize("family,fine_sweeps", list(zip(BATTERY, FINE_SWEEPS)),
                          ids=BATTERY_IDS)
-def test_oracle_integrates_no_state_twice(monkeypatch, family, max_sweeps):
+def test_oracle_integrates_no_state_twice(monkeypatch, family, fine_sweeps):
     cls, phi_args, f_src, T, *_ = family
     sweeps = []
     rk4 = solver._rk4_batch
 
     def recording(spec, grid, u0, w0):
         U, W, bad = rk4(spec, grid, u0, w0)
-        sweeps.append((list(zip(u0.tolist(), w0.tolist())), U))
+        sweeps.append((grid.n, list(zip(u0.tolist(), w0.tolist())), U))
         return U, W, bad
 
     monkeypatch.setattr(solver, "_rk4_batch", recording)
     spec = make_spec(cls, phi_args, f_src, T)
     w = shooting_oracle(spec)
-    states = [s for batch, _ in sweeps for s in batch]
+    # the coarse root is integrated again on the fine grid, but no state
+    # twice on the same grid
+    states = [(n, s) for n, batch, _ in sweeps for s in batch]
     assert len(set(states)) == len(states)
     # the answer is the trajectory of one state, integrated exactly once
-    assert sum(np.array_equal(c, w.u) for _, U in sweeps for c in U.T) == 1
-    assert len(sweeps) <= max_sweeps
+    assert sum(np.array_equal(c, w.u) for _, _, U in sweeps for c in U.T) == 1
+    assert sum(n == spec.grid_n for n, _, _ in sweeps) == fine_sweeps
     again = shooting_oracle(spec)
     assert np.array_equal(again.u, w.u) and np.array_equal(again.du, w.du)
 
@@ -455,19 +457,64 @@ def test_oracle_integrates_no_state_twice(monkeypatch, family, max_sweeps):
 def test_oracle_gives_up_on_a_stalled_start(monkeypatch):
     # u'(T) = u'(0) needs the integral of t - 0.5 over [0, T] to vanish, so
     # no solution exists for T = 0.5; each Newton start must stop once its
-    # residual has not halved in 5 steps, not after 60 (2,986 sweeps)
+    # residual has not halved in 5 steps, not after 60 (2,986 sweeps), on
+    # the coarse grid and again in the fine search it falls back to
     rk4 = solver._rk4_batch
     sweeps = []
 
-    def counting(*args):
-        sweeps.append(1)
-        return rk4(*args)
+    def counting(spec, grid, *args):
+        sweeps.append(grid.n)
+        return rk4(spec, grid, *args)
 
     monkeypatch.setattr(solver, "_rk4_batch", counting)
     spec = make_spec(C, ("power", 4.0), "t - 0.5", 0.5, grid_n=201)
     with pytest.raises(OracleFailure):
         shooting_oracle(spec)
-    assert len(sweeps) <= 200  # measured 180
+    assert set(sweeps) == {solver._COARSE_N, 201}
+    assert sweeps.count(solver._COARSE_N) <= 200  # measured 180
+    assert sweeps.count(201) <= 200  # measured 180
+
+
+def _fine_only_oracle(monkeypatch, spec):
+    """The oracle's search on the requested grid alone, from its starts."""
+    with monkeypatch.context() as m:
+        m.setattr(solver, "_COARSE_N", spec.grid_n)
+        return shooting_oracle(spec)
+
+
+@pytest.mark.parametrize("level", ["coarse", "polish"])
+def test_oracle_falls_back_to_the_fine_search(monkeypatch, level):
+    # a coarse search, or a polish, that fails leaves the answer to the
+    # search on the requested grid from the candidate starts, bit for bit
+    spec = make_spec(*BATTERY[2][:4])
+    want = _fine_only_oracle(monkeypatch, spec)
+    rk4 = solver._rk4_batch
+    fine_sweeps = []
+
+    def failing(spec, grid, u0, w0):
+        U, W, bad = rk4(spec, grid, u0, w0)
+        if grid.n == spec.grid_n:
+            fine_sweeps.append(1)
+        if (level == "coarse" and grid.n == solver._COARSE_N
+                or level == "polish" and fine_sweeps == [1]):
+            bad[:] = True
+            U[:] = W[:] = np.nan
+        return U, W, bad
+
+    monkeypatch.setattr(solver, "_rk4_batch", failing)
+    got = shooting_oracle(spec)
+    assert np.array_equal(got.u, want.u) and np.array_equal(got.du, want.du)
+
+
+@pytest.mark.parametrize("cls,phi_args,f_src,T,res_cap,gap_cap",
+                         BATTERY, ids=BATTERY_IDS)
+def test_two_level_oracle_agrees_with_the_fine_search(monkeypatch, cls, phi_args,
+                                                       f_src, T, res_cap, gap_cap):
+    spec = make_spec(cls, phi_args, f_src, T)
+    w = shooting_oracle(spec)
+    fine = _fine_only_oracle(monkeypatch, spec)
+    assert np.max(np.abs(w.u - fine.u)) <= 1e-9  # measured up to 2.8e-11
+    assert np.max(np.abs(w.du - fine.du)) <= 1e-9
 
 
 @pytest.mark.parametrize("k", [1.99, -1.99])
