@@ -3,7 +3,11 @@ shooting oracle.
 
 ``solve`` iterates the class-appropriate integral map with adaptive
 damping and (for the Dirichlet and classic classes) a homotopy parameter
-continued from 0 to 1.  Where plain iteration provably cannot converge
+continued from 0 to 1.  Each damped step is Anderson-mixed (type II,
+Walker & Ni, "Anderson acceleration for fixed-point iterations", SIAM J.
+Numer. Anal. 49, 2011): it extrapolates from the last ``_ANDERSON_DEPTH``
+= 3 steps of the stacked state (u, du), and this history is cleared
+whenever the gap rises.  Where plain iteration provably cannot converge
 (the classic map has expanding directions whenever df/du' > 0 along the
 solution), a Newton-Krylov pass on the fixed-point residual takes over.
 The handoff happens as soon as a stage stalls, when its best residual has
@@ -61,6 +65,8 @@ _THETA_MIN = 1e-3
 _STALL_WINDOW = 50
 _STALL_FACTOR = 0.5
 _DIVERGENCE_CAP = 1e8
+# differences of past iterates an Anderson step mixes in
+_ANDERSON_DEPTH = 3
 
 
 class ProblemClass(enum.Enum):
@@ -178,12 +184,6 @@ def _fp_gap(spec: ProblemSpec, w: GridFunction,
     return mw, r, r <= spec.tol_fp * (1.0 + l1_norm(w.grid, w.u))
 
 
-def _blend(aw: GridFunction, bw: GridFunction, theta: float) -> GridFunction:
-    return GridFunction(aw.grid,
-                        (1.0 - theta) * aw.u + theta * bw.u,
-                        (1.0 - theta) * aw.du + theta * bw.du)
-
-
 @dataclass
 class _StageResult:
     u: GridFunction
@@ -197,6 +197,17 @@ class _StageResult:
 
 def _picard_stage(spec: ProblemSpec, lam: float, u: GridFunction,
                   first_stage: bool) -> _StageResult:
+    """Anderson-mixed Picard iteration on the stacked state z = (u, du).
+
+    With f = M(z) - z and the differences dZ, dF of the last
+    _ANDERSON_DEPTH successive z and f, the step is z + theta * f -
+    gamma @ (dZ + theta * dF), where gamma solves the normal equations of
+    min |f - gamma @ dF| with a Tikhonov term 1e-12 * |f|^2.  The history
+    is cleared at the start of the stage and whenever the gap rises, and
+    a step without history is the damped step (1 - theta) * z + theta * M(z).
+    """
+    grid = u.grid
+    n = grid.n
     theta = 1.0
     prev_r = np.inf
     best_r = np.inf
@@ -204,6 +215,16 @@ def _picard_stage(spec: ProblemSpec, lam: float, u: GridFunction,
     # best residual at the last halving, and the iteration it happened in
     mark_r = np.inf
     mark_k = 0
+    f = np.empty(2 * n)
+    step = np.empty(2 * n)
+    # history rows [0, depth), the oldest overwritten first, and their
+    # Gram matrix dF @ dF.T; between a step and the next gap, row `slot`
+    # holds that step and -f, and the next f completes its dF
+    dZ = np.empty((_ANDERSON_DEPTH, 2 * n))
+    dF = np.empty((_ANDERSON_DEPTH, 2 * n))
+    gram = np.empty((_ANDERSON_DEPTH, _ANDERSON_DEPTH))
+    depth = 0
+    slot = 0
     for k in range(1, MAX_ITER + 1):
         try:
             w, r, ok = _fp_gap(spec, u, lam)
@@ -222,10 +243,28 @@ def _picard_stage(spec: ProblemSpec, lam: float, u: GridFunction,
             return _StageResult(best_u, k, False, best_r, "diverged")
         if k - mark_k >= _STALL_WINDOW:
             return _StageResult(best_u, k, False, best_r, "stalled")
-        theta = max(theta / 2.0, _THETA_MIN) if r > prev_r \
-            else min(theta * 1.2, 1.0)
+        np.subtract(w.u, u.u, out=f[:n])
+        np.subtract(w.du, u.du, out=f[n:])
+        if r > prev_r:
+            theta = max(theta / 2.0, _THETA_MIN)
+            depth = slot = 0
+        else:
+            theta = min(theta * 1.2, 1.0)
+            if k > 1:
+                dF[slot] += f
+                depth = min(depth + 1, _ANDERSON_DEPTH)
+                gram[slot, :depth] = gram[:depth, slot] = dF[:depth] @ dF[slot]
+                slot = (slot + 1) % _ANDERSON_DEPTH
         prev_r = r
-        u = _blend(u, w, theta)
+        np.multiply(f, theta, out=step)
+        if depth:
+            a = gram[:depth, :depth] + 1e-12 * (f @ f) * np.eye(depth)
+            gamma = np.linalg.solve(a, dF[:depth] @ f)
+            step -= gamma @ dZ[:depth]
+            step -= theta * (gamma @ dF[:depth])
+        dZ[slot] = step
+        np.negative(f, out=dF[slot])
+        u = GridFunction(grid, u.u + step[:n], u.du + step[n:])
     return _StageResult(best_u, MAX_ITER, False, best_r, "budget")
 
 

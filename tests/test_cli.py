@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from phibvp import (BoundaryZero, ProblemClass, ProblemSpec, cli,
-                    make_homeomorphism, parse_expr, solve)
+                    make_homeomorphism, parse_expr, shooting_oracle, solve)
 from phibvp.cli import (
     EXIT_BAD_INPUT,
     EXIT_GUARD,
@@ -130,9 +130,10 @@ def test_solve_honors_grid_n_and_tol(tmp_path, capsys):
 
 
 def test_solve_nonconvergence_exit_and_report(tmp_path, capsys):
-    # tilted forcing: no fixed point in reach, the Newton stage stalls too
-    bad = CLASSIC_BENCH.replace('f = "exp(v)/2 - 1"',
-                                'f = "exp(v)/2 - 1 + (t - 0.5)/2"')
+    # u'' = 1 forces u'(T) - u'(0) = T, so no solution exists: the Picard
+    # stage stalls and the Newton stage fails too
+    bad = (CLASSIC_BENCH.replace("phi = power 4", "phi = identity")
+           .replace('f = "exp(v)/2 - 1"', 'f = "1"'))
     path = write(tmp_path, bad)
     assert main(["solve", path]) == EXIT_NO_CONVERGENCE
     err = capsys.readouterr().err
@@ -140,6 +141,22 @@ def test_solve_nonconvergence_exit_and_report(tmp_path, capsys):
     report = (tmp_path / "prob.report.txt").read_text()
     assert "converged=false" in report
     assert not (tmp_path / "prob.solution.csv").exists()
+
+
+def test_solve_tilted_classic_matches_oracle(tmp_path, capsys):
+    # the tilt (t - 0.5)/2 has zero mean on [0, 1], and this problem has a
+    # solution: the solve must reach the shooting oracle's
+    tilted = 'exp(v)/2 - 1 + (t - 0.5)/2'
+    path = write(tmp_path, CLASSIC_BENCH.replace('f = "exp(v)/2 - 1"',
+                                                 f'f = "{tilted}"'))
+    assert main(["solve", path]) == EXIT_OK
+    assert "converged=true" in (tmp_path / "prob.report.txt").read_text()
+    u = np.loadtxt(tmp_path / "prob.solution.csv", delimiter=",", skiprows=1,
+                   usecols=1)
+    oracle = shooting_oracle(ProblemSpec(ProblemClass.THREEPOINT_CLASSIC,
+                                         make_homeomorphism("power", 4.0),
+                                         parse_expr(tilted), 1.0))
+    assert np.max(np.abs(u - oracle.u)) <= 1e-4  # measured 2.6e-8
 
 
 def test_solve_guard_exit_for_oversized_forcing(tmp_path, capsys):
