@@ -2,7 +2,7 @@
 boundary value problems (phi(u'))' = f(t, u, u')."""
 
 from .certificates import (BoundaryZero, DegreeResult, GrowthCertificate,
-                           InconsistentDerivative, SampleBox, SignCertificate,
+                           InconsistentDerivative, SignCertificate,
                            Verdict, brouwer_degree, check_growth, check_signs,
                            newton_sign_sum, planar_map, winding_number)
 from .expr import (EvalDomainError, Expr, ParseError, UnknownIdentifierError,
@@ -28,7 +28,7 @@ __all__ = [
     "GridFunction", "GrowthCertificate", "Homeomorphism",
     "InconsistentDerivative", "Kind", "NonConvergence", "NoSignChangeError",
     "OracleFailure", "ParseError", "ProblemClass", "ProblemSpec",
-    "QphiResult", "SampleBox", "SignCertificate", "SolveReport",
+    "QphiResult", "SignCertificate", "SolveReport",
     "UnknownIdentifierError", "Verdict", "apply_fixed_point_map",
     "bc_residual", "brouwer_degree", "check_growth", "check_signs",
     "classic_threepoint_map", "dirichlet_map",

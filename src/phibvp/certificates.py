@@ -41,12 +41,12 @@ class BoundaryZero(Exception):
         self.min_norm = min_norm
         self.scale = scale
         super().__init__(
-            f"planar map has norm {min_norm!r} on the circle of radius {rho!r} "
-            f"(scale {scale!r}); degree undefined here")
+            f"planar map has norm {_fmt(min_norm)} on the circle of radius "
+            f"{_fmt(rho)} (scale {_fmt(scale)}); degree undefined here")
 
     def report_text(self) -> str:
-        return (f"rho={self.rho!r}\nwinding=undefined\n"
-                f"min_boundary_norm={self.min_norm!r}\n")
+        return (f"rho={_fmt(self.rho)}\nwinding=undefined\n"
+                f"min_boundary_norm={_fmt(self.min_norm)}\n")
 
 
 class InconsistentDerivative(Exception):
@@ -59,19 +59,6 @@ class InconsistentDerivative(Exception):
         self.given = given
         super().__init__(
             f"claimed derivative {given!r} vs finite difference {fd!r} at x={x!r}")
-
-
-@dataclass(frozen=True)
-class SampleBox:
-    """Sampling ranges: t in [0, T], u in [-x_max, x_max], v in
-    [-y_max, y_max], each sampled at DEFAULT_SAMPLES points."""
-
-    x_max: float
-    y_max: float
-
-    def __post_init__(self) -> None:
-        if not (0 < self.x_max < math.inf and 0 < self.y_max < math.inf):
-            raise ValueError("box half-widths must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -100,13 +87,13 @@ def _fmt(x) -> str:
 
 def _report_text(kind: str, verdict: Verdict,
                  fields: tuple[tuple[str, float | None], ...],
-                 box: SampleBox | None) -> str:
+                 box: float | None) -> str:
     """``key=value`` certificate report: kind, verdict, the certificate's
-    own constants, then the sample box, witness and detail when present."""
+    own constants, then the sample box half-width, witness and detail."""
     lines = [f"certificate={kind}", f"verdict={verdict.status}"]
     lines += [f"{key}={_fmt(value)}" for key, value in fields]
     if box is not None:
-        lines += [f"box_x={_fmt(box.x_max)}", f"box_y={_fmt(box.y_max)}",
+        lines += [f"box_x={_fmt(box)}", f"box_y={_fmt(box)}",
                   f"samples={DEFAULT_SAMPLES}x{DEFAULT_SAMPLES}x{DEFAULT_SAMPLES}"]
     if verdict.witness is not None:
         lines += [f"witness_{axis}={_fmt(value)}"
@@ -123,7 +110,8 @@ class GrowthCertificate:
     half_a: float
     L: float | None
     c1_bound: float | None
-    box: SampleBox | None
+    # half-width of the sampled box |u|, |v| <= box
+    box: float | None
 
     def report_text(self) -> str:
         return _report_text("growth", self.verdict, (
@@ -140,7 +128,7 @@ class SignCertificate:
     L: float
     r: float | None
     rho_min: float | None
-    box: SampleBox
+    box: float
 
     def report_text(self) -> str:
         return _report_text("signs", self.verdict, (
@@ -174,8 +162,18 @@ def _probe_derivative(n: Expr, dn: Expr, x_max: float) -> None:
                                      float(given[worst]))
 
 
+def _sample_box(name: str, bound: float, T: float) -> float:
+    """Half-width max(10, 2 * (bound + bound * T)) of the box a certificate
+    samples, from its derivative bound ``name``; it must be finite."""
+    box = max(10.0, 2.0 * (bound + bound * T))
+    if not math.isfinite(box):
+        raise ValueError(f"derived bound {name} = {_fmt(bound)} with T = {_fmt(T)} "
+                         "leaves no finite sample box")
+    return box
+
+
 def _f_slice(f: Expr, t: float, xs: np.ndarray, ys: np.ndarray,
-             box: SampleBox) -> np.ndarray:
+             box: float) -> np.ndarray:
     """f at time t on the (x, y) samples, indexed [x, y].  A domain fault
     of f names its sample point and the box, since the derived box can be
     far larger than the problem suggests."""
@@ -186,7 +184,7 @@ def _f_slice(f: Expr, t: float, xs: np.ndarray, ys: np.ndarray,
         raise EvalDomainError(
             f"f: {exc.fault} at (t, u, v) = ({float(t)!r}, {float(xs[i])!r}, "
             f"{float(ys[j])!r}) on the derived sample box |u| <= "
-            f"{box.x_max!r}, |v| <= {box.y_max!r}") from None
+            f"{box!r}, |v| <= {box!r}") from None
 
 
 def check_growth(phi: Homeomorphism, f: Expr, h: Expr, n: Expr, dn: Expr,
@@ -220,10 +218,9 @@ def check_growth(phi: Homeomorphism, f: Expr, h: Expr, n: Expr, dn: Expr,
     L = max(abs(float(phi.inverse(-2.0 * h_l1))),
             abs(float(phi.inverse(2.0 * h_l1))))
     c1_bound = L + L * T
-    half = max(10.0, 2.0 * c1_bound)
-    box = SampleBox(half, half)
+    box = _sample_box("L", L, T)
 
-    _probe_derivative(n, dn, box.x_max)
+    _probe_derivative(n, dn, box)
 
     def done(verdict: Verdict) -> GrowthCertificate:
         return GrowthCertificate(verdict, h_l1, half_a, L, c1_bound, box)
@@ -241,8 +238,7 @@ def check_growth(phi: Homeomorphism, f: Expr, h: Expr, n: Expr, dn: Expr,
         return done(Verdict("failed_at", (math.nan, 0.0, math.nan),
                             f"n(0) = {n_at_0!r} != 0"))
 
-    xs = np.linspace(-box.x_max, box.x_max, DEFAULT_SAMPLES)
-    ys = np.linspace(-box.y_max, box.y_max, DEFAULT_SAMPLES)
+    xs = ys = np.linspace(-box, box, DEFAULT_SAMPLES)
     n_vals = eval_profile("n", n, "u", xs)
     dn_vals = eval_profile("dn", dn, "u", xs)
 
@@ -267,7 +263,7 @@ def check_growth(phi: Homeomorphism, f: Expr, h: Expr, n: Expr, dn: Expr,
                 raise EvalDomainError(
                     f"f*n+h: overflow at (t, u, v) = ({_fmt(t)}, {_fmt(xs[i])}, "
                     f"{_fmt(ys[j])}) on the derived sample box |u| <= "
-                    f"{box.x_max!r}, |v| <= {box.y_max!r}")
+                    f"{box!r}, |v| <= {box!r}")
             gap = np.abs(fvals) - (bound + GROWTH_SLACK)
             bad3 = gap > 0.0
             if np.any(bad3):
@@ -305,15 +301,14 @@ def check_signs(phi: Homeomorphism, f: Expr, m1: float, m2: float, c: Expr,
     ts = tgrid.nodes
     c_vals = eval_profile("c", c, "t", ts)
     c_neg_l1 = integral(tgrid, np.maximum(-c_vals, 0.0))
-    r = max(abs(float(phi.inverse(L + 2.0 * c_neg_l1))),
-            abs(float(phi.inverse(-L - 2.0 * c_neg_l1))))
+    with np.errstate(over="ignore"):
+        r = max(abs(float(phi.inverse(L + 2.0 * c_neg_l1))),
+                abs(float(phi.inverse(-L - 2.0 * c_neg_l1))))
     rho_min = r * (2.0 + T)
-    half = max(10.0, 2.0 * (r + r * T))
-    box = SampleBox(half, half)
+    box = _sample_box("r", r, T)
 
-    xs = np.linspace(-box.x_max, box.x_max, DEFAULT_SAMPLES)
-    ys = np.unique(np.concatenate(
-        [np.linspace(-box.y_max, box.y_max, DEFAULT_SAMPLES), [m1, m2]]))
+    xs = np.linspace(-box, box, DEFAULT_SAMPLES)
+    ys = np.unique(np.concatenate([xs, [m1, m2]]))
     upper = ys >= m2
     lower = ys <= m1
 

@@ -43,7 +43,6 @@ class Homeomorphism:
     a: float | None
     forward: Callable[[np.ndarray], np.ndarray]
     inverse: Callable[[np.ndarray], np.ndarray]
-    params: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
         _validate(self)
@@ -107,7 +106,7 @@ def power(p: float) -> Homeomorphism:
         x = np.asarray(x, dtype=float)
         return np.sign(x) * np.abs(x) ** (1.0 / q)
 
-    return Homeomorphism("power", Kind.CLASSIC, None, fwd, inv, params=(float(p),))
+    return Homeomorphism("power", Kind.CLASSIC, None, fwd, inv)
 
 
 def mean_curvature(a: float) -> Homeomorphism:
@@ -125,7 +124,7 @@ def mean_curvature(a: float) -> Homeomorphism:
         s = np.asarray(x, dtype=float) / a
         return s / np.sqrt(1.0 - s * s)
 
-    return Homeomorphism("mean_curvature", Kind.BOUNDED, a, fwd, inv, params=(a,))
+    return Homeomorphism("mean_curvature", Kind.BOUNDED, a, fwd, inv)
 
 
 def relativistic(a: float) -> Homeomorphism:
@@ -143,7 +142,7 @@ def relativistic(a: float) -> Homeomorphism:
         x = np.asarray(x, dtype=float)
         return x / np.hypot(1.0, x / a)
 
-    return Homeomorphism("relativistic", Kind.SINGULAR, a, fwd, inv, params=(a,))
+    return Homeomorphism("relativistic", Kind.SINGULAR, a, fwd, inv)
 
 
 _CATALOG = {

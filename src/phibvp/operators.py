@@ -103,7 +103,8 @@ def q_phi(phi: Homeomorphism, grid: Grid, h: np.ndarray) -> QphiResult:
         if sup_h >= phi.a / 2.0:
             raise BoundedPreconditionError(sup_h, phi.a / 2.0)
 
-    def G(s: float) -> float:
+    # through args, h stays out of the reference cycle of brentq's wrapper of G
+    def G(s: float, h: np.ndarray) -> float:
         val = integral(grid, phi.inverse(h - s))
         if not math.isfinite(val):
             raise OverflowError(
@@ -113,12 +114,12 @@ def q_phi(phi: Homeomorphism, grid: Grid, h: np.ndarray) -> QphiResult:
     scale = max(1.0, abs(hm), abs(hM))
     if hM - hm <= 1e-15 * scale:
         s = float(h[0])
-        return QphiResult(s, G(s), 0)
+        return QphiResult(s, G(s, h), 0)
 
     try:
         # numpy's overflow warning would not say which input overflowed
         with np.errstate(over="ignore", invalid="ignore"):
-            s, info = brentq(G, hm, hM, xtol=4e-16 * scale, disp=False,
+            s, info = brentq(G, hm, hM, args=(h,), xtol=4e-16 * scale, disp=False,
                              maxiter=QPHI_MAX_ITER, full_output=True)
     except OverflowError as exc:
         raise ValueError(str(exc)) from None
@@ -126,7 +127,7 @@ def q_phi(phi: Homeomorphism, grid: Grid, h: np.ndarray) -> QphiResult:
         raise NoSignChangeError(
             f"no sign change of G on [{hm!r}, {hM!r}] ({exc}): corrupt input"
         ) from None
-    return QphiResult(s, G(s), info.function_calls + 1)
+    return QphiResult(s, G(s, h), info.function_calls + 1)
 
 
 def _inverse_guarded(phi: Homeomorphism, x: np.ndarray, lam: float) -> np.ndarray:

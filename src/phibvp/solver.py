@@ -175,13 +175,14 @@ def apply_fixed_point_map(spec: ProblemSpec, w: GridFunction,
 
 
 def _fp_gap(spec: ProblemSpec, w: GridFunction,
-            lam: float) -> tuple[GridFunction, float, bool]:
-    """The one convergence test: M_lam(w), the integral norm of the
-    u-component gap w.u - M_lam(w).u, and whether that gap meets
-    tol_fp * (1 + integral norm of w.u)."""
+            lam: float) -> tuple[np.ndarray, float, bool]:
+    """The one fixed-point residual and convergence test: F = M_lam(w) - w
+    stacked on (u, du), the integral norm r of F's u-part, and whether r
+    meets tol_fp * (1 + integral norm of w.u)."""
     mw = apply_fixed_point_map(spec, w, lam)
-    r = l1_norm(w.grid, w.u - mw.u)
-    return mw, r, r <= spec.tol_fp * (1.0 + l1_norm(w.grid, w.u))
+    F = np.concatenate([mw.u - w.u, mw.du - w.du])
+    r = l1_norm(w.grid, F[:w.grid.n])
+    return F, r, r <= spec.tol_fp * (1.0 + l1_norm(w.grid, w.u))
 
 
 @dataclass
@@ -199,10 +200,10 @@ def _picard_stage(spec: ProblemSpec, lam: float, u: GridFunction,
                   first_stage: bool) -> _StageResult:
     """Anderson-mixed Picard iteration on the stacked state z = (u, du).
 
-    With f = M(z) - z and the differences dZ, dF of the last
-    _ANDERSON_DEPTH successive z and f, the step is z + theta * f -
-    gamma @ (dZ + theta * dF), where gamma solves the normal equations of
-    min |f - gamma @ dF| with a Tikhonov term 1e-12 * |f|^2.  The history
+    With the residual f = M(z) - z from _fp_gap and the differences dZ, dF
+    of the last _ANDERSON_DEPTH successive z and f, the step is z + theta *
+    f - gamma @ (dZ + theta * dF), where gamma solves the normal equations
+    of min |f - gamma @ dF| with a Tikhonov term 1e-12 * |f|^2.  The history
     is cleared at the start of the stage and whenever the gap rises, and
     a step without history is the damped step (1 - theta) * z + theta * M(z).
     """
@@ -215,7 +216,6 @@ def _picard_stage(spec: ProblemSpec, lam: float, u: GridFunction,
     # best residual at the last halving, and the iteration it happened in
     mark_r = np.inf
     mark_k = 0
-    f = np.empty(2 * n)
     step = np.empty(2 * n)
     # history rows [0, depth), the oldest overwritten first, and their
     # Gram matrix dF @ dF.T; between a step and the next gap, row `slot`
@@ -227,7 +227,7 @@ def _picard_stage(spec: ProblemSpec, lam: float, u: GridFunction,
     slot = 0
     for k in range(1, MAX_ITER + 1):
         try:
-            w, r, ok = _fp_gap(spec, u, lam)
+            f, r, ok = _fp_gap(spec, u, lam)
         except EvalDomainError:
             if first_stage and k == 1:
                 raise  # a fault at the start point is a problem-definition fault
@@ -243,8 +243,6 @@ def _picard_stage(spec: ProblemSpec, lam: float, u: GridFunction,
             return _StageResult(best_u, k, False, best_r, "diverged")
         if k - mark_k >= _STALL_WINDOW:
             return _StageResult(best_u, k, False, best_r, "stalled")
-        np.subtract(w.u, u.u, out=f[:n])
-        np.subtract(w.du, u.du, out=f[n:])
         if r > prev_r:
             theta = max(theta / 2.0, _THETA_MIN)
             depth = slot = 0
@@ -269,7 +267,7 @@ def _picard_stage(spec: ProblemSpec, lam: float, u: GridFunction,
 
 
 def _newton_stage(spec: ProblemSpec, lam: float, u: GridFunction) -> _StageResult:
-    """Newton-Krylov on z - M(z) in the stacked (u, du) representation."""
+    """Newton-Krylov on z - M(z) = -F(z), F the residual of _fp_gap."""
     grid = u.grid
     n = grid.n
     evals = 0
@@ -277,9 +275,7 @@ def _newton_stage(spec: ProblemSpec, lam: float, u: GridFunction) -> _StageResul
     def residual(z: np.ndarray) -> np.ndarray:
         nonlocal evals
         evals += 1
-        w = GridFunction(grid, z[:n], z[n:])
-        mw = apply_fixed_point_map(spec, w, lam)
-        return z - np.concatenate([mw.u, mw.du])
+        return -_fp_gap(spec, GridFunction(grid, z[:n], z[n:]), lam)[0]
 
     z0 = np.concatenate([u.u, u.du])
     f_tol = 0.25 * spec.tol_fp / max(1.0, spec.T)
@@ -336,12 +332,8 @@ def omega_margin(spec: ProblemSpec, w: GridFunction) -> float | None:
     return spec.phi.a / 2.0 - sup_norm(g)
 
 
-def _build_report(spec: ProblemSpec, u: GridFunction,
-                  path: list[tuple[float, int]], method: str) -> SolveReport:
-    try:
-        _, fp_res, fp_ok = _fp_gap(spec, u, 1.0)
-    except (AdmissibilityViolation, EvalDomainError):
-        fp_res, fp_ok = np.inf, False
+def _build_report(spec: ProblemSpec, u: GridFunction, path: list[tuple[float, int]],
+                  method: str, fp_res: float, fp_ok: bool) -> SolveReport:
     try:
         margin = omega_margin(spec, u)
     except EvalDomainError:
@@ -402,24 +394,28 @@ def solve(spec: ProblemSpec) -> SolveReport:
                 continue
             raise
         first = False
+        iterations, best = st.iterations, st.best_residual
         if not st.converged:
             log.warning("fixed-point iteration %s; switching to Newton-Krylov",
                         _handoff_reason(st, lam))
-            nst = _newton_stage(spec, lam, st.u)
-            st = _StageResult(nst.u, st.iterations + nst.iterations,
-                              nst.converged, min(st.best_residual, nst.best_residual),
-                              nst.reason)
+            st = _newton_stage(spec, lam, st.u)
+            iterations += st.iterations
             method = "picard+newton"
-        path.append((lam, st.iterations))
+        path.append((lam, iterations))
         u = st.u
         if not st.converged:
-            report = _build_report(spec, u, path, method)
-            raise NonConvergence(st.best_residual, report.iterations, report)
+            try:
+                _, fp_res, fp_ok = _fp_gap(spec, u, 1.0)
+            except (AdmissibilityViolation, EvalDomainError):
+                fp_res, fp_ok = np.inf, False
+            report = _build_report(spec, u, path, method, fp_res, fp_ok)
+            raise NonConvergence(min(best, st.best_residual), report.iterations, report)
         if single_pass or lam == 1.0:
             break
         lam_done += lam_step
 
-    report = _build_report(spec, u, path, method)
+    # a converged stage's best residual is the lambda = 1 gap of u
+    report = _build_report(spec, u, path, method, st.best_residual, True)
     if not report.converged:
         # the per-stage criterion passed but the final diagnostics did not
         raise NonConvergence(report.fp_residual, report.iterations, report)

@@ -6,8 +6,6 @@ against an independent Newton multistart that counts zeros with orientation
 signs.
 """
 
-import math
-
 import numpy as np
 import pytest
 
@@ -15,7 +13,6 @@ from phibvp import make_homeomorphism, parse_expr
 from phibvp.certificates import (
     BoundaryZero,
     InconsistentDerivative,
-    SampleBox,
     brouwer_degree,
     check_growth,
     check_signs,
@@ -98,10 +95,10 @@ class TestGrowthCertificate:
 
     def test_box_is_derived_from_the_bounds(self):
         # half-width max(10, 2*c1_bound): the floor, then the bound
-        assert growth(0.1).box == SampleBox(10.0, 10.0)
+        assert growth(0.1).box == 10.0
         wide = growth(0.1, h="4.9")
         assert wide.verdict.passed and 2.0 * wide.c1_bound > 10.0
-        assert wide.box == SampleBox(2.0 * wide.c1_bound, 2.0 * wide.c1_bound)
+        assert wide.box == 2.0 * wide.c1_bound
         # a box of |u|, |v| <= 1 misses where this f breaks the growth
         # bound; the derived box finds it at u = 9.2
         cert = check_growth(MC1, parse_expr("u - 2 - u^3/100"), parse_expr("4"),
@@ -131,6 +128,15 @@ def test_failure_details_print_plain_floats(make):
     assert "np." not in cert.report_text()
 
 
+def test_undefined_degree_prints_plain_floats():
+    # the planar map of F_CLS vanishes at (0, log 2), on this circle
+    with pytest.raises(BoundaryZero) as ei:
+        brouwer_degree(F_CLS, 1.0, np.float64(np.log(2.0)))
+    text = ei.value.report_text()
+    assert text.startswith("rho=0.6931471805599453\nwinding=undefined\n")
+    assert "np." not in text + str(ei.value)
+
+
 # ------------------------------------------------------------------- signs
 
 
@@ -146,11 +152,11 @@ class TestSignCertificate:
     def test_box_is_derived_from_the_bounds(self):
         # half-width max(10, 2*(r + r*T)): the floor at T = 1, the bound at 3
         cert = check_signs(CUBE, F_CLS, -1.0, 1.0, parse_expr("-1"), 1.0)
-        assert cert.box == SampleBox(10.0, 10.0)
+        assert cert.box == 10.0
         cert = check_signs(CUBE, F_CLS, -1.0, 1.0, parse_expr("-1"), 3.0)
         half = 2.0 * (cert.r + cert.r * 3.0)
         assert cert.verdict.passed and half > 10.0
-        assert cert.box == SampleBox(half, half)
+        assert cert.box == half
 
     def test_report_text(self):
         cert = check_signs(CUBE, F_CLS, -1.0, 1.0, parse_expr("-1"), 1.0)
@@ -275,20 +281,3 @@ class TestDegree:
         b = brouwer_degree(F_CLS, 1.0, RHO_MIN)
         assert a == b
 
-
-# ------------------------------------------------------------- sample box
-
-
-def test_sample_box_validation():
-    with pytest.raises(ValueError):
-        SampleBox(0.0, 1.0)
-    with pytest.raises(ValueError):
-        SampleBox(1.0, -2.0)
-    with pytest.raises(ValueError):
-        SampleBox(math.inf, 1.0)
-
-
-def test_sample_box_is_frozen():
-    box = SampleBox(1.0, 2.0)
-    with pytest.raises(Exception):
-        box.x_max = 3.0

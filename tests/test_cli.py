@@ -270,6 +270,22 @@ def test_check_overflow_of_the_growth_bound_names_point_and_box(tmp_path, capsys
     assert "on the derived sample box |u| <= " in err
 
 
+@pytest.mark.parametrize("text,message", [
+    # phi^{-1}(x) = x^2 for power 1.5, so r = phi^{-1}(L + 2e200) overflows
+    (CLASSIC_BENCH.replace("phi = power 4", "phi = power 1.5").replace(
+        'c = "-1"', 'c = "-1e200"'), "r = inf with T = 1.0"),
+    # L is finite, but the box 2 * (L + L*T) is not
+    (DIRICHLET_BENCH.replace("T = 0.1", "T = 1e308").replace(
+        'h = "4"', 'h = "4.9e-309"'), "L = 4.924685294770148 with T = 1e+308"),
+], ids=["signs", "growth"])
+def test_check_overflow_of_the_derivative_bound_is_named(tmp_path, capsys, text,
+                                                         message):
+    assert main(["check", write(tmp_path, text)]) == EXIT_BAD_INPUT
+    err = capsys.readouterr().err
+    assert f"error: derived bound {message} leaves no finite sample box" in err
+    assert not list(tmp_path.glob("prob.*.txt"))
+
+
 def test_check_failure_detail_prints_plain_floats(tmp_path, capsys):
     path = write(tmp_path, CLASSIC_BENCH.replace('c = "-1"', 'c = "0"'))
     assert main(["check", path]) == EXIT_UNCERTIFIED

@@ -127,7 +127,6 @@ def test_positive_parameter_required():
 
 def test_make_homeomorphism_catalog():
     assert make_homeomorphism("identity").name == "identity"
-    assert make_homeomorphism("power", 4.0).params == (4.0,)
     assert make_homeomorphism("mean_curvature", 1.5).a == 1.5
     with pytest.raises(ValueError):
         make_homeomorphism("nope")

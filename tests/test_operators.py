@@ -1,3 +1,5 @@
+import gc
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -121,6 +123,21 @@ def test_qphi_bounded_precondition():
         q_phi(phi, grid, np.full(101, 0.5))  # sup = a/2 exactly: rejected
     # just inside the bound is fine
     q_phi(phi, grid, np.full(101, 0.4999))
+
+
+def test_qphi_keeps_no_reference_to_h():
+    # without the cyclic collector, h must die with the caller's last
+    # reference; a reference cycle around q_phi's integrand would keep it
+    grid = Grid(1.0, 101)
+    h = np.sin(2.0 * np.pi * grid.nodes) / 4.0 + 0.1
+    alive = weakref.ref(h)
+    gc.disable()
+    try:
+        q_phi(mean_curvature(1.0), grid, h)
+        del h
+        assert alive() is None
+    finally:
+        gc.enable()
 
 
 def test_qphi_steep_inverse_still_meets_residual():

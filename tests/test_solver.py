@@ -193,6 +193,56 @@ class TestClassicBenchmark:
         assert map_calls <= 200
 
 
+@pytest.mark.parametrize("f_src", ["exp(v)/2 - 1", "exp(v)/2 - 1 + (t - 0.5)/2"],
+                         ids=["cubic", "tilted"])
+def test_report_gap_is_the_gap_of_the_solution(f_src):
+    # the report reuses the last stage's gap; the tilted problem's lambda = 1
+    # stage stalls, so that gap is Newton-Krylov's, not the Picard stage's
+    spec = make_spec(C, ("power", 4.0), f_src, 1.0)
+    report = solve(spec)
+    assert report.converged and report.method == "picard+newton"
+    assert report.fp_residual == solver._fp_gap(spec, report.solution, 1.0)[1]
+
+
+# handoffs whose Newton-Krylov pass fails, after each Picard exit other than
+# a stall, and after a stall whose iterate the lambda = 1 map rejects:
+# (problem, logged reason, report after "method=")
+FAILED_HANDOFFS = [
+    ((C, ("identity",), "exp(u)", 1.0),
+     "stopped at lambda=0.1 (domain_fault after 6 iterations, best residual 1)",
+     "fp_residual=1.0\node_residual=1.0\nbc_residual=0.0\nomega_margin=n/a\n"
+     "iterations=588\nlambda_path=0.1:588\n"),
+    ((C, ("identity",), "u^3 + 1", 1.0),
+     "stopped at lambda=0.1 (diverged after 7 iterations, best residual 1)",
+     "fp_residual=1.0\node_residual=1.0\nbc_residual=0.0\nomega_margin=n/a\n"
+     "iterations=324\nlambda_path=0.1:324\n"),
+    ((S, ("relativistic", 1.0), "log(u + 0.3)", 1.0),
+     "stopped at lambda=1 (domain_fault after 2 iterations, best residual 0.424604)",
+     "fp_residual=0.42460429876447303\node_residual=1.2039728043259361\n"
+     "bc_residual=0.0\nomega_margin=n/a\niterations=7\nlambda_path=1.0:7\n"),
+    # the iterate is inadmissible for the lambda = 1 map, so its gap is inf
+    ((D, ("mean_curvature", 1.0), "u^2*100 + 1", 2.0),
+     "stalled at lambda=0.11875 (best residual 0.00188393 not halved",
+     "fp_residual=inf\node_residual=2.0519938567415443\nbc_residual=0.0\n"
+     "omega_margin=-2.848133956676609\niterations=81\n"
+     "lambda_path=0.1:8,0.1125:8,0.115625:8,0.11875:57\n"),
+]
+
+
+@pytest.mark.parametrize("family,reason,text", FAILED_HANDOFFS,
+                         ids=["domain_fault", "diverged", "domain_fault_at_1",
+                              "inadmissible_at_1"])
+def test_failed_handoff_reports_nonconvergence(caplog, family, reason, text):
+    with caplog.at_level(logging.WARNING, logger="phibvp.solver"):
+        with pytest.raises(NonConvergence) as ei:
+            solve(make_spec(*family, grid_n=201))
+    msgs = [rec.message for rec in caplog.records]
+    assert len(msgs) == 1 and reason in msgs[0]
+    report = ei.value.report
+    assert report.method == "picard+newton"
+    assert report.report_text() == "converged=false\nmethod=picard+newton\n" + text
+
+
 def test_singular_closed_form():
     # phi(y) = y / sqrt(1 - y^2), f = 1: integrating once gives
     # phi(u') = t - s with s = 1/2 by symmetry, so u' = (t - 1/2) /
@@ -281,10 +331,20 @@ PICARD_ITERATIONS = [34, 40, 8, 7, 7, 119, 106]
 
 @pytest.mark.parametrize("family,iterations",
                          list(zip(BATTERY, PICARD_ITERATIONS)), ids=BATTERY_IDS)
-def test_battery_picard_work_is_pinned(family, iterations):
+def test_battery_picard_work_is_pinned(monkeypatch, family, iterations):
     cls, phi_args, f_src, T, *_ = family
+    maps = []
+    apply = solver.apply_fixed_point_map
+
+    def counted(*args):
+        maps.append(1)
+        return apply(*args)
+
+    monkeypatch.setattr(solver, "apply_fixed_point_map", counted)
     report = solve(make_spec(cls, phi_args, f_src, T, tol_fp=1e-13))
     assert report.iterations == iterations
+    # one map per iteration: the report reuses the last stage's lambda = 1 gap
+    assert len(maps) == iterations
 
 
 @pytest.mark.parametrize("cls,phi_args,f_src,T,res_cap,gap_cap",
@@ -296,8 +356,8 @@ def test_battery_class_invariants(cls, phi_args, f_src, T, res_cap, gap_cap):
         assert w.u[0] == 0.0 and w.u[-1] == 0.0
     elif cls is S:
         # the singular range confines the derivative below the pole
-        assert np.max(np.abs(w.du)) < spec.phi.params[0]
-        a = spec.phi.params[0]
+        a = spec.phi.a
+        assert np.max(np.abs(w.du)) < a
         assert l1_norm(w.grid, w.u) < 2.0 * a + a * T
     else:
         # at a fixed point the mean load must vanish, else the two
