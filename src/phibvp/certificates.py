@@ -348,34 +348,61 @@ def check_signs(phi: Homeomorphism, f: Expr, m1: float, m2: float, c: Expr,
 SIMPSON_N = 201
 # bisections of one boundary arc before the winding number gives up on it
 _MAX_DEPTH = 20
+# math's hypot elementwise: numpy's SIMD loop can differ from it in the
+# last bit, and math.hypot is the more accurate of the two
+_hypot = np.frompyfunc(math.hypot, 2, 1)
 
 
-def _simpson(vals: np.ndarray, length: float) -> float:
+def _simpson(vals: np.ndarray, length: float) -> np.ndarray:
     h = length / (vals.shape[-1] - 1)
-    return float((h / 3.0) * (vals[..., 0] + vals[..., -1]
-                              + 4.0 * vals[..., 1:-1:2].sum(axis=-1)
-                              + 2.0 * vals[..., 2:-1:2].sum(axis=-1)))
+    return (h / 3.0) * (vals[..., 0] + vals[..., -1]
+                        + 4.0 * vals[..., 1:-1:2].sum(axis=-1)
+                        + 2.0 * vals[..., 2:-1:2].sum(axis=-1))
 
 
-def planar_map(f: Expr, T: float, a: float, b: float) -> tuple[float, float]:
+def planar_map(f: Expr, T: float, a, b) -> tuple[np.ndarray, np.ndarray]:
     """The planar map whose zeros are the affine pre-solutions.
 
     (a, b) -> (a*T + b*T^2 - b*T - (1/T) * integral_0^T f(t, a+b*t, b) dt,
-               b - a - b*T).
-    A domain fault of f names the point (a, b) and its radius, so that a
-    fault caused by too large a disk blames the radius, not only f.
+               b - a - b*T),
+    at arrays a and b of one broadcast shape, which both outputs have
+    (numpy floats at floats).  f is evaluated in one call, on one row of
+    SIMPSON_N quadrature nodes per point.  A domain fault raises at the
+    first point, in order, whose own evaluation faults.  It names that
+    point (a, b) and its radius, so that a fault caused by too large a
+    disk blames the radius, not only f, and its ``index`` is the point's
+    flat index (None at floats).
     """
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float),
+                               np.asarray(b, dtype=float))
     ts = np.linspace(0.0, T, SIMPSON_N)
+    col_a, col_b = a.reshape(-1, 1), b.reshape(-1, 1)
+    u = col_a + col_b * ts
+    v = np.repeat(col_b, SIMPSON_N, axis=1)
     try:
-        vals = eval_many(f, ts, a + b * ts, np.full_like(ts, b))
+        vals = eval_many(f, ts, u, v)
     except EvalDomainError as exc:
-        raise EvalDomainError(
-            f"f: {exc.fault} at t = {float(ts[exc.index])!r} for (a, b) = "
-            f"({float(a)!r}, {float(b)!r}), radius {math.hypot(a, b)!r}"
-        ) from None
-    integ = _simpson(vals, T)
-    g1 = a * T + b * T * T - b * T - integ / T
-    g2 = b - a - b * T
+        # the batch stops at the first operation that faults anywhere, but
+        # an earlier point may fault only at a later operation
+        i, j = exc.index
+        while i:
+            try:
+                eval_many(f, ts, u[:i], v[:i])
+                break
+            except EvalDomainError as earlier:
+                exc = earlier
+                i, j = exc.index
+        pa, pb = float(col_a[i, 0]), float(col_b[i, 0])
+        err = EvalDomainError(
+            f"f: {exc.fault} at t = {float(ts[j])!r} for (a, b) = "
+            f"({pa!r}, {pb!r}), radius {math.hypot(pa, pb)!r}")
+        err.index = i if a.ndim else None
+        raise err from None
+    integ = _simpson(vals, T).reshape(a.shape)
+    # as on Python floats: an overflow is inf, not a warning
+    with np.errstate(all="ignore"):
+        g1 = a * T + b * T * T - b * T - integ / T
+        g2 = b - a - b * T
     return g1, g2
 
 
@@ -398,26 +425,32 @@ class DegreeResult:
 def winding_number(map_fn, rho: float, n_start: int = 256) -> DegreeResult:
     """Winding number of s -> map_fn(rho cos s, rho sin s) around 0.
 
-    Starts from n_start uniform boundary samples and bisects every arc
-    whose angle increment exceeds pi/2, at most _MAX_DEPTH times; an arc
-    still unresolved there raises BoundaryZero.  Also raises
-    BoundaryZero when any evaluated sample comes within 1e-9 * scale of
-    the origin (scale = largest initial sample norm).
+    map_fn takes arrays a, b and returns arrays (g1, g2) of their shape.
+    It is called once with the n_start uniform boundary samples, then with
+    floats at the midpoint of each arc whose angle increment exceeds pi/2,
+    in a depth-first walk of the arcs in order, at most _MAX_DEPTH times
+    per initial arc; an arc still unresolved there raises BoundaryZero.
+    Also raises BoundaryZero when any evaluated sample comes within
+    1e-9 * scale of the origin (scale = largest initial sample norm).
     """
     if rho <= 0:
         raise ValueError("radius must be positive")
 
     state = {"min_norm": math.inf, "scale": 0.0, "evals": 0, "depth": 0}
 
-    def sample(theta: float) -> tuple[float, float, float]:
-        g1, g2 = map_fn(rho * math.cos(theta), rho * math.sin(theta))
+    def point(g1, g2) -> tuple[float, float, float]:
         nrm = math.hypot(g1, g2)
         state["evals"] += 1
         state["min_norm"] = min(state["min_norm"], nrm)
         return g1, g2, nrm
 
+    def sample(theta: float) -> tuple[float, float, float]:
+        return point(*map_fn(rho * math.cos(theta), rho * math.sin(theta)))
+
     thetas = [2.0 * math.pi * k / n_start for k in range(n_start)]
-    pts = [sample(th) for th in thetas]
+    g1, g2 = map_fn(np.array([rho * math.cos(th) for th in thetas]),
+                    np.array([rho * math.sin(th) for th in thetas]))
+    pts = [point(x, y) for x, y in zip(np.ravel(g1).tolist(), np.ravel(g2).tolist())]
     state["scale"] = max(p[2] for p in pts)
     if state["min_norm"] <= 1e-9 * state["scale"]:
         raise BoundaryZero(rho, state["min_norm"], state["scale"])
@@ -469,6 +502,21 @@ def brouwer_degree(f: Expr, T: float, rho: float,
                           n_start=n_start)
 
 
+def _solve_each(J: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The solutions x of J[i] @ x = r[i], with nan rows for a singular
+    J[i]; a singular matrix makes numpy raise for the whole stack."""
+    try:
+        return np.linalg.solve(J, r[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        out = np.full_like(r, np.nan)
+        for i in range(len(r)):
+            try:
+                out[i] = np.linalg.solve(J[i], r[i])
+            except np.linalg.LinAlgError:
+                pass
+        return out
+
+
 def newton_sign_sum(f: Expr, T: float, rho: float, starts_per_axis: int = 16):
     """Independent degree estimate: sum of Jacobian-determinant signs over
     the distinct zeros of the planar map inside the disk, found by damped
@@ -477,64 +525,98 @@ def newton_sign_sum(f: Expr, T: float, rho: float, starts_per_axis: int = 16):
     Returns (sign_sum, zeros, trustworthy).  trustworthy is False when
     some Newton run failed to converge or some zero is degenerate; the
     sum is then not a valid degree count.
+
+    Newton runs on all starts at once.  Each point is mapped in one
+    planar_map call with its two finite-difference neighbours, so an
+    accepted trial carries its next Jacobian, and the line search halves
+    alpha for the starts that have not yet moved.  A start ends
+    unconverged, alone, when a point it needs faults, when its Jacobian is
+    singular, when no alpha >= 2^-24 lowers max |g|, or after 80 steps.
     """
     _check_horizon(T)
     delta = 1e-7 * max(1.0, rho)
+    tol = 1e-11 * max(1.0, rho)
 
-    def G(p: np.ndarray) -> np.ndarray:
-        return np.array(planar_map(f, T, float(p[0]), float(p[1])))
+    def with_neighbours(P: np.ndarray) -> np.ndarray:
+        return np.stack([P, P + [delta, 0.0], P + [0.0, delta]],
+                        axis=1).reshape(-1, 2)
 
-    def jac(p: np.ndarray, g0: np.ndarray) -> np.ndarray:
-        ga = G(p + [delta, 0.0])
-        gb = G(p + [0.0, delta])
-        return np.stack([(ga - g0) / delta, (gb - g0) / delta], axis=1)
+    def jacobians(G: np.ndarray) -> np.ndarray:
+        with np.errstate(all="ignore"):
+            return (G[:, 1:] - G[:, :1]).transpose(0, 2, 1) / delta
+
+    def mapped(P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The map at P's rows and their neighbours, (m, 3, 2), and the
+        (m, 3) mask of the points whose evaluation faults (nan there)."""
+        X = with_neighbours(P)
+        G = np.full(X.shape, np.nan)
+        fault = np.zeros(len(X), dtype=bool)
+        todo = [(0, len(X))]
+        while todo:
+            lo, hi = todo.pop()
+            try:
+                G[lo:hi] = np.stack(planar_map(f, T, X[lo:hi, 0], X[lo:hi, 1]),
+                                    axis=-1)
+            except EvalDomainError as exc:
+                # the points before the one named are clean; halving the
+                # rest keeps many faults from costing a full call each
+                i = lo + exc.index
+                fault[i] = True
+                mid = (i + 1 + hi) // 2
+                todo += [(a, b) for a, b in ((lo, i), (i + 1, mid), (mid, hi))
+                         if a < b]
+        return G.reshape(-1, 3, 2), fault.reshape(-1, 3)
 
     axis = np.linspace(-rho, rho, starts_per_axis)
-    trustworthy = True
-    zeros: list[np.ndarray] = []
-    tol = 1e-11 * max(1.0, rho)
-    for x0 in axis:
-        for y0 in axis:
-            if math.hypot(x0, y0) >= rho:
-                continue
-            p = np.array([x0, y0])
-            converged = False
-            try:
-                g = G(p)
-                for _ in range(80):
-                    ng = float(np.max(np.abs(g)))
-                    if ng <= tol:
-                        converged = True
-                        break
-                    step = np.linalg.solve(jac(p, g), -g)
-                    alpha = 1.0
-                    moved = False
-                    while alpha >= 2.0 ** -24:
-                        trial = p + alpha * step
-                        gt = G(trial)
-                        if np.all(np.isfinite(gt)) and np.max(np.abs(gt)) < ng:
-                            p, g = trial, gt
-                            moved = True
-                            break
-                        alpha /= 2.0
-                    if not moved:
-                        break
-            except (np.linalg.LinAlgError, ValueError, OverflowError):
-                converged = False
-            if not converged:
-                trustworthy = False
-                continue
-            if math.hypot(p[0], p[1]) >= rho:
-                continue
-            if not any(np.max(np.abs(p - z)) <= 1e-6 * max(1.0, rho)
-                       for z in zeros):
-                zeros.append(p)
+    X0, Y0 = (c.ravel() for c in np.meshgrid(axis, axis, indexing="ij"))
+    inside = ~(_hypot(X0, Y0).astype(float) >= rho)
+    P = np.stack([X0[inside], Y0[inside]], axis=1)
+    G, fault = mapped(P)
+    live = ~fault[:, 0]
+    converged = np.zeros(len(P), dtype=bool)
+    for _ in range(80):
+        if not live.any():
+            break
+        idx = np.flatnonzero(live)
+        live[:] = False  # a start stays live only by moving
+        ng = np.max(np.abs(G[idx, 0]), axis=1)
+        converged[idx[ng <= tol]] = True
+        # a step needs both neighbours and a regular Jacobian
+        keep = ~(ng <= tol) & ~fault[idx, 1:].any(axis=1)
+        idx, ng = idx[keep], ng[keep]
+        step = _solve_each(jacobians(G[idx]), -G[idx, 0])
+        keep = np.isfinite(step).all(axis=1)
+        idx, ng, step = idx[keep], ng[keep], step[keep]
+        alpha = 1.0
+        while idx.size and alpha >= 2.0 ** -24:
+            trial = P[idx] + alpha * step
+            Gt, ft = mapped(trial)
+            gt = Gt[:, 0]
+            moved = (~ft[:, 0] & np.isfinite(gt).all(axis=1)
+                     & (np.max(np.abs(gt), axis=1) < ng))
+            hit = idx[moved]
+            P[hit], G[hit], fault[hit] = trial[moved], Gt[moved], ft[moved]
+            live[hit] = True
+            rest = ~moved & ~ft[:, 0]
+            idx, ng, step = idx[rest], ng[rest], step[rest]
+            alpha /= 2.0
 
-    sign_sum = 0
-    for z in zeros:
-        det = float(np.linalg.det(jac(z, G(z))))
-        if abs(det) <= 1e-8:
-            trustworthy = False
-            continue
-        sign_sum += 1 if det > 0 else -1
-    return sign_sum, zeros, trustworthy
+    trustworthy = bool(converged.all())
+    # distinct zeros in start order: each is the first point left that is
+    # not within 1e-6 * max(1, rho) of an earlier one
+    left = P[converged]
+    left = left[~(_hypot(left[:, 0], left[:, 1]).astype(float) >= rho)]
+    zeros: list[np.ndarray] = []
+    while len(left):
+        zeros.append(left[0])
+        left = left[np.max(np.abs(left - left[0]), axis=1) > 1e-6 * max(1.0, rho)]
+    if not zeros:
+        return 0, zeros, trustworthy
+
+    # a fault here raises: these points converged, so only a neighbour can
+    Z = with_neighbours(np.array(zeros))
+    G = np.stack(planar_map(f, T, Z[:, 0], Z[:, 1]), axis=-1).reshape(-1, 3, 2)
+    det = np.linalg.det(jacobians(G))
+    degenerate = np.abs(det) <= 1e-8
+    sign_sum = int(np.where(det[~degenerate] > 0, 1, -1).sum())
+    return sign_sum, zeros, trustworthy and not degenerate.any()

@@ -14,7 +14,8 @@ The handoff happens as soon as a stage stalls, when its best residual has
 not halved (``_STALL_FACTOR``) in ``_STALL_WINDOW`` = 50 iterations, not
 after the whole ``MAX_ITER`` budget.  It is reported in
 ``SolveReport.method`` and logged with its reason; it never happens
-silently.
+silently.  A stage that diverges or meets a domain fault ends the solve
+without one: its iterate is not near a fixed point.
 
 ``shooting_oracle`` solves the same problem by a genuinely different
 discretization: RK4 time stepping of the first-order system in
@@ -356,8 +357,8 @@ def _build_report(spec: ProblemSpec, u: GridFunction, path: list[tuple[float, in
     )
 
 
-def _handoff_reason(st: _StageResult, lam: float) -> str:
-    """Why a Picard stage handed off to Newton-Krylov, for the log."""
+def _exit_reason(st: _StageResult, lam: float) -> str:
+    """Why a Picard stage ended unconverged, for the log."""
     if st.reason == "stalled":
         return (f"stalled at lambda={lam:g} (best residual {st.best_residual:g} "
                 f"not halved in {_STALL_WINDOW} iterations)")
@@ -369,7 +370,8 @@ def solve(spec: ProblemSpec) -> SolveReport:
     """Iterate the fixed-point map to tolerance and return diagnostics.
 
     Raises NonConvergence (with the diagnostic report attached) when a
-    stage converges neither by iteration nor by Newton-Krylov, and
+    stage converges neither by iteration nor by Newton-Krylov, or diverges
+    or meets a domain fault, and
     AdmissibilityViolation when even the smallest homotopy step leaves the
     Dirichlet map's admissible set.
     """
@@ -396,11 +398,16 @@ def solve(spec: ProblemSpec) -> SolveReport:
         first = False
         iterations, best = st.iterations, st.best_residual
         if not st.converged:
-            log.warning("fixed-point iteration %s; switching to Newton-Krylov",
-                        _handoff_reason(st, lam))
-            st = _newton_stage(spec, lam, st.u)
-            iterations += st.iterations
-            method = "picard+newton"
+            # only a stalled or used-up stage is near a fixed point for
+            # Newton-Krylov to polish; a divergence or a domain fault is not
+            handoff = st.reason in ("stalled", "budget")
+            log.warning("fixed-point iteration %s; %s", _exit_reason(st, lam),
+                        "switching to Newton-Krylov" if handoff else
+                        "no Newton-Krylov handoff after a divergence or a domain fault")
+            if handoff:
+                st = _newton_stage(spec, lam, st.u)
+                iterations += st.iterations
+                method = "picard+newton"
         path.append((lam, iterations))
         u = st.u
         if not st.converged:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from phibvp import make_homeomorphism, parse_expr
+from phibvp.expr import EvalDomainError
 from phibvp.certificates import (
     BoundaryZero,
     InconsistentDerivative,
@@ -212,6 +213,71 @@ def test_planar_map_no_forcing_is_antidiagonal():
     assert ga == 0.5 and gb == -0.5
 
 
+@pytest.mark.parametrize("T", [1.0, 0.5])
+@pytest.mark.parametrize("src", ["u^3 - u + 0.1*sin(6*t)", "(t - 0.5)^2*u + v^3 - 1",
+                                 "exp(u) - 2 + sin(v)", "abs(u)^2.5 + t^3 - v"])
+def test_batched_planar_map_matches_its_0d_calls(src, T):
+    # numpy's power can round 0-d and array operands differently, so the
+    # batch must build each point's row as a lone call does
+    f = parse_expr(src)
+    theta = 2.0 * np.pi * np.arange(256) / 256
+    ring = (2.0 * np.cos(theta), 2.0 * np.sin(theta))
+    rng = np.random.default_rng(7)
+    batch = tuple(rng.uniform(-3.0, 3.0, (5, 3)) for _ in range(2))
+    for a, b in (ring, batch):
+        g1, g2 = planar_map(f, T, a, b)
+        assert g1.shape == g2.shape == a.shape
+        lone = np.array([planar_map(f, T, float(x), float(y))
+                         for x, y in zip(a.ravel(), b.ravel())])
+        assert np.array_equal(g1.ravel(), lone[:, 0])
+        assert np.array_equal(g2.ravel(), lone[:, 1])
+
+
+def _planar_fault(f, a, b):
+    with pytest.raises(EvalDomainError) as ei:
+        planar_map(f, 1.0, a, b)
+    return ei.value
+
+
+def test_batched_planar_fault_names_the_first_faulting_point():
+    f = parse_expr("log(v + 2)")
+    theta = 2.0 * np.pi * np.arange(256) / 256
+    a, b = 4.0 * np.cos(theta), 4.0 * np.sin(theta)
+    err = _planar_fault(f, a, b)
+    first = next(k for k in range(256) if b[k] <= -2.0)
+    assert err.index == first
+    assert str(err) == str(_planar_fault(f, float(a[first]), float(b[first])))
+    assert str(err) == (
+        "f: log of non-positive value at t = 0.0 for (a, b) = "
+        "(-3.4309144400010885, -2.056410976772886), radius 4.0")
+
+
+def test_batched_planar_fault_is_not_the_first_operation_to_fault():
+    # the log faults at the second point before the division at the first
+    # is reached; a loop over the points meets the division first
+    err = _planar_fault(parse_expr("log(v + 2) + 1/u"), [0.0, 1.0], [0.0, -3.0])
+    assert err.index == 0
+    assert str(err) == ("f: division by zero at t = 0.0 for (a, b) = (0.0, 0.0), "
+                        "radius 0.0")
+
+
+@pytest.mark.parametrize("src,fault,t", [
+    ("1/t", "division by zero", "0.0"),
+    ("log(t)", "log of non-positive value", "0.0"),
+    ("sqrt(t - 0.5) + u", "sqrt of negative value", "0.0"),
+    ("1/(t - 0.25) + v", "division by zero", "0.25"),
+])
+def test_planar_fault_in_t_alone_names_the_first_point(src, fault, t):
+    # a fault that does not depend on (a, b) hits every point, the first one
+    # included, so there is no earlier point left to evaluate again
+    f = parse_expr(src)
+    text = f"f: {fault} at t = {t} for (a, b) = (1.0, 2.0), radius 2.23606797749979"
+    assert str(_planar_fault(f, 1.0, 2.0)) == text
+    err = _planar_fault(f, [1.0, 3.0], [2.0, -1.0])
+    assert (err.index, str(err)) == (0, text)
+    assert newton_sign_sum(f, 1.0, 2.0, starts_per_axis=8) == (0, [], False)
+
+
 # ------------------------------------------------------------------ degree
 
 
@@ -263,7 +329,7 @@ class TestDegree:
         # that arc brings its angle increment below pi/2
         with pytest.raises(BoundaryZero) as ei:
             winding_number(
-                lambda x, y: (1.0, 0.0) if y >= 0 else (-1.0, 0.0), 1.0)
+                lambda x, y: (np.where(y >= 0, 1.0, -1.0), np.zeros_like(y)), 1.0)
         assert ei.value.min_norm == 1.0
 
     def test_radius_must_be_positive(self):
@@ -281,3 +347,115 @@ class TestDegree:
         b = brouwer_degree(F_CLS, 1.0, RHO_MIN)
         assert a == b
 
+
+
+# u^3 - u + 0.1*sin(6*t) at T = 1: the planar map has three zeros on the b-axis
+F_THREE = parse_expr("u^3 - u + 0.1*sin(6*t)")
+
+
+def test_three_planar_zeros_and_their_sign_sum():
+    sign_sum, zeros, trustworthy = newton_sign_sum(F_THREE, 1.0, 4.0)
+    assert trustworthy
+    found = sorted(zeros, key=lambda z: z[1])
+    for (a, b), want in zip(found, (-1.4149, 0.0013, 1.4135)):
+        assert abs(a) <= 1e-12 and abs(b - want) <= 1e-4
+    assert sign_sum == brouwer_degree(F_THREE, 1.0, 4.0).winding == -1
+
+
+def test_small_disk_holds_one_planar_zero():
+    sign_sum, zeros, trustworthy = newton_sign_sum(F_THREE, 1.0, 1.0)
+    assert trustworthy and len(zeros) == 1
+    a, b = zeros[0]
+    assert abs(a) <= 1e-12 and abs(b - 0.0013) <= 1e-4
+    assert sign_sum == brouwer_degree(F_THREE, 1.0, 1.0).winding == 1
+
+
+@pytest.mark.parametrize("starts,zero", [
+    (8, (2.488434950798427e-17, -1.000000000006051)),
+    (16, (-4.7651348329107466e-17, -0.9999999999999858)),
+])
+def test_sign_sum_contains_faults_per_start(starts, zero):
+    # log(v + 2) faults wherever v <= -2, on part of the disk: the starts
+    # there end unconverged, and the others still find the zero (0, -1)
+    sign_sum, zeros, trustworthy = newton_sign_sum(parse_expr("log(v + 2)"), 1.0,
+                                                   4.0, starts_per_axis=starts)
+    assert (sign_sum, trustworthy) == (-1, False)
+    assert [tuple(z) for z in zeros] == [zero]
+
+
+def test_singular_jacobians_end_only_their_own_starts():
+    # f = 0, T = 1 maps (a, b) to (a, -a) up to rounding, so most Newton
+    # Jacobians are exactly singular, which makes numpy raise for the whole
+    # stack; two starts still reach zeros on the b-axis, both degenerate
+    sign_sum, zeros, trustworthy = newton_sign_sum(parse_expr("0"), 1.0, 1.0,
+                                                   starts_per_axis=8)
+    assert (sign_sum, trustworthy) == (0, False)
+    assert [tuple(z) for z in zeros] == [(-4.107963968991157e-12, -0.5714285714285715),
+                                         (-4.107963968991157e-12, 0.5714285714285713)]
+
+
+def test_pole_inside_the_disk_leaves_the_degree_undefined():
+    with pytest.raises(BoundaryZero) as ei:
+        brouwer_degree(parse_expr("1/(v - 0.5) + u"), 1.0, 2.0)
+    assert ei.value.report_text() == (
+        "rho=2.0\nwinding=undefined\nmin_boundary_norm=1.4000000000000001\n")
+
+
+def _flip_map(theta0):
+    # z - z0 for z0 on the unit circle at angle theta0, its sign flipped
+    # where y < 0.3: the flip is an arc no bisection resolves
+    c0, s0 = np.cos(theta0), np.sin(theta0)
+
+    def fn(x, y):
+        s = np.where(y >= 0.3, 1.0, -1.0)
+        return s * (x - c0), s * (y - s0)
+    return fn
+
+
+@pytest.mark.parametrize("arcs,min_norm", [(10.3, 4.681337912102157e-09),
+                                           (50.3, 0.00736309114879932)])
+def test_boundary_zero_is_the_first_in_walk_order(arcs, min_norm):
+    # the zero of z - z0 sits 10.3 or 50.3 initial arcs round the circle,
+    # and the flip at y = 0.3 about 12.4.  The winding number reports
+    # what a depth-first walk of the arcs meets first: the zero's
+    # sample, or the flip's arc at the refinement cap with the least norm
+    # sampled before it, the zero's deep samples not among them.
+    with pytest.raises(BoundaryZero) as ei:
+        winding_number(_flip_map(2.0 * np.pi * arcs / 256), 1.0)
+    assert ei.value.min_norm == min_norm
+
+
+def test_refinement_cap_comes_before_a_later_fault_in_walk_order():
+    # the flip at y = 0.3 leaves initial arcs 12 and 115 unresolvable; a map
+    # that faults inside arc 115, off the ring, is never called there, since
+    # the walk hits the refinement cap in arc 12 first
+    step = 2.0 * np.pi / 256
+    flipped = _flip_map(50.3 * step)
+
+    def fn(x, y):
+        pos = np.mod(np.arctan2(y, x), 2.0 * np.pi) / step
+        if np.any((np.abs(pos - np.round(pos)) > 1e-6) & (np.floor(pos) == 115)):
+            raise EvalDomainError("fault inside arc 115")
+        return flipped(x, y)
+
+    with pytest.raises(BoundaryZero) as ei:
+        winding_number(fn, 1.0)
+    assert ei.value.min_norm == 0.00736309114879932
+
+
+def test_boundary_zero_ignores_samples_after_it_in_walk_order():
+    # (z - z0)(z - z1): z0 lies 8e-9 inside the circle, under the midpoint
+    # of initial arc 10, so the first bisection samples it; z1 lies on the
+    # circle in arc 20, whose deep bisections come closer to 0 but follow
+    # z0's sample in walk order
+    step = 2.0 * np.pi / 256
+    x0, y0 = (1.0 - 8e-9) * np.cos(10.5 * step), (1.0 - 8e-9) * np.sin(10.5 * step)
+    x1, y1 = np.cos(20.3 * step), np.sin(20.3 * step)
+
+    def fn(x, y):
+        ax, ay, bx, by = x - x0, y - y0, x - x1, y - y1
+        return ax * bx - ay * by, ax * by + ay * bx
+
+    with pytest.raises(BoundaryZero) as ei:
+        winding_number(fn, 1.0)
+    assert ei.value.min_norm == 1.919590361536871e-09

@@ -204,43 +204,55 @@ def test_report_gap_is_the_gap_of_the_solution(f_src):
     assert report.fp_residual == solver._fp_gap(spec, report.solution, 1.0)[1]
 
 
-# handoffs whose Newton-Krylov pass fails, after each Picard exit other than
-# a stall, and after a stall whose iterate the lambda = 1 map rejects:
-# (problem, logged reason, report after "method=")
+# Picard exits that end a solve unconverged: a divergence or a domain fault
+# ends it at once, without Newton-Krylov, since its iterate is not near a
+# fixed point; a stall hands off, and here Newton-Krylov fails as well, as
+# the lambda = 1 map rejects its iterate.  (problem, logged reason, method,
+# Newton-Krylov calls, report after "method=...")
 FAILED_HANDOFFS = [
     ((C, ("identity",), "exp(u)", 1.0),
-     "stopped at lambda=0.1 (domain_fault after 6 iterations, best residual 1)",
+     "stopped at lambda=0.1 (domain_fault after 6 iterations, best residual 1); "
+     "no Newton-Krylov handoff", "picard", 0,
      "fp_residual=1.0\node_residual=1.0\nbc_residual=0.0\nomega_margin=n/a\n"
-     "iterations=588\nlambda_path=0.1:588\n"),
+     "iterations=6\nlambda_path=0.1:6\n"),
     ((C, ("identity",), "u^3 + 1", 1.0),
-     "stopped at lambda=0.1 (diverged after 7 iterations, best residual 1)",
+     "stopped at lambda=0.1 (diverged after 7 iterations, best residual 1); "
+     "no Newton-Krylov handoff", "picard", 0,
      "fp_residual=1.0\node_residual=1.0\nbc_residual=0.0\nomega_margin=n/a\n"
-     "iterations=324\nlambda_path=0.1:324\n"),
+     "iterations=7\nlambda_path=0.1:7\n"),
     ((S, ("relativistic", 1.0), "log(u + 0.3)", 1.0),
-     "stopped at lambda=1 (domain_fault after 2 iterations, best residual 0.424604)",
+     "stopped at lambda=1 (domain_fault after 2 iterations, best residual "
+     "0.424604); no Newton-Krylov handoff", "picard", 0,
      "fp_residual=0.42460429876447303\node_residual=1.2039728043259361\n"
-     "bc_residual=0.0\nomega_margin=n/a\niterations=7\nlambda_path=1.0:7\n"),
+     "bc_residual=0.0\nomega_margin=n/a\niterations=2\nlambda_path=1.0:2\n"),
     # the iterate is inadmissible for the lambda = 1 map, so its gap is inf
     ((D, ("mean_curvature", 1.0), "u^2*100 + 1", 2.0),
      "stalled at lambda=0.11875 (best residual 0.00188393 not halved",
+     "picard+newton", 1,
      "fp_residual=inf\node_residual=2.0519938567415443\nbc_residual=0.0\n"
      "omega_margin=-2.848133956676609\niterations=81\n"
      "lambda_path=0.1:8,0.1125:8,0.115625:8,0.11875:57\n"),
 ]
 
 
-@pytest.mark.parametrize("family,reason,text", FAILED_HANDOFFS,
+@pytest.mark.parametrize("family,reason,method,newton_calls,text", FAILED_HANDOFFS,
                          ids=["domain_fault", "diverged", "domain_fault_at_1",
                               "inadmissible_at_1"])
-def test_failed_handoff_reports_nonconvergence(caplog, family, reason, text):
+def test_failed_handoff_reports_nonconvergence(monkeypatch, caplog, family, reason,
+                                               method, newton_calls, text):
+    calls = []
+    newton_krylov = solver.scipy.optimize.newton_krylov
+    monkeypatch.setattr(solver.scipy.optimize, "newton_krylov",
+                        lambda *a, **kw: calls.append(a) or newton_krylov(*a, **kw))
     with caplog.at_level(logging.WARNING, logger="phibvp.solver"):
         with pytest.raises(NonConvergence) as ei:
             solve(make_spec(*family, grid_n=201))
     msgs = [rec.message for rec in caplog.records]
     assert len(msgs) == 1 and reason in msgs[0]
+    assert len(calls) == newton_calls
     report = ei.value.report
-    assert report.method == "picard+newton"
-    assert report.report_text() == "converged=false\nmethod=picard+newton\n" + text
+    assert report.method == method
+    assert report.report_text() == f"converged=false\nmethod={method}\n" + text
 
 
 def test_singular_closed_form():
