@@ -233,9 +233,14 @@ def _compile(e: Expr, lenient: bool):
     lines: list[str] = []
     scope = {"np": np, "_fault": _fault}
 
-    def let(source: str) -> str:
-        lines.append(f"x{len(lines)} = {source}")
-        return f"x{len(lines) - 1}"
+    def let(source: str, *operands: str) -> str:
+        # each intermediate has one consumer; dropping it there keeps few arrays alive
+        name = f"x{len(lines)}"
+        lines.append(f"{name} = {source}")
+        dead = [x for x in operands if x.startswith("x")]
+        if dead:
+            lines.append(f"del {', '.join(dead)}")
+        return name
 
     def guard(mask: str, message: str) -> None:
         if not lenient:
@@ -248,15 +253,16 @@ def _compile(e: Expr, lenient: bool):
         if isinstance(node, Var):
             return node.name
         if isinstance(node, Neg):
-            return let(f"-{emit(node.operand)}")
+            x = emit(node.operand)
+            return let(f"-{x}", x)
         if isinstance(node, Call):
             x = emit(node.arg)
             if node.func in _DOMAIN_FAULTS:
                 test, message = _DOMAIN_FAULTS[node.func]
                 guard(test.format(x), message)
                 if lenient:
-                    x = let(f"np.where({test.format(x)}, np.nan, {x})")
-            return let(f"np.{node.func}({x})")
+                    x = let(f"np.where({test.format(x)}, np.nan, {x})", x)
+            return let(f"np.{node.func}({x})", x)
         a, b = emit(node.left), emit(node.right)
         if node.op == "/":
             guard(f"{b} == 0.0", "division by zero")
@@ -264,7 +270,7 @@ def _compile(e: Expr, lenient: bool):
             guard(f"({a} == 0.0) & ({b} < 0.0)", "zero raised to a negative power")
             guard(f"({a} < 0.0) & ({b} != np.round({b}))",
                   "negative base with non-integer exponent")
-        return let(f"{a} {'**' if node.op == '^' else node.op} {b}")
+        return let(f"{a} {'**' if node.op == '^' else node.op} {b}", a, b)
 
     lines.append(f"out = np.asarray({emit(e)}, dtype=float)")
     guard("~np.isfinite(out)", "non-finite result")

@@ -7,7 +7,8 @@ Three shapes occur, distinguished by where phi lives:
 * singular: phi maps the bounded interval (-a, a) onto R (relativistic).
 
 Every catalog entry is checked at construction time: phi(0) = 0, strict
-monotonicity and the inverse round trip on a quasi-random probe set.
+monotonicity, the inverse round trip and the closed-form slope of the
+inverse against a centred difference, on a quasi-random probe set.
 Only increasing homeomorphisms are supported.
 """
 
@@ -21,6 +22,7 @@ import numpy as np
 
 EPS_DOM = 1e-12
 _ROUNDTRIP_RTOL = 1e-12
+_SLOPE_RTOL = 1e-4
 _PROBES = 1000
 
 
@@ -34,8 +36,10 @@ class Kind(enum.Enum):
 class Homeomorphism:
     """An increasing homeomorphism with explicit forward and inverse maps.
 
-    ``forward`` and ``inverse`` are vectorized callables without domain
-    guards.  ``a`` is the half-width of the bounded side (None for classic).
+    ``forward``, ``inverse`` and ``inverse_slope`` are vectorized callables
+    without domain guards; ``inverse_slope`` is the closed-form derivative
+    of ``inverse`` (infinite where phi is flat, as the power law at 0 for
+    p > 2).  ``a`` is the half-width of the bounded side (None for classic).
     """
 
     name: str
@@ -43,6 +47,7 @@ class Homeomorphism:
     a: float | None
     forward: Callable[[np.ndarray], np.ndarray]
     inverse: Callable[[np.ndarray], np.ndarray]
+    inverse_slope: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self) -> None:
         _validate(self)
@@ -80,6 +85,15 @@ def _validate(phi: Homeomorphism) -> None:
     err = np.max(np.abs(back - ys) / (1.0 + np.abs(ys)))
     if err > _ROUNDTRIP_RTOL:
         raise ValueError(f"{phi.name}: inverse round trip error {err:g}")
+    # steps small against 0 and a bounded range's edge, divided out as rounded
+    room = phi.a - np.abs(xs) if phi.kind is Kind.BOUNDED else np.inf
+    d = 1e-6 * np.minimum(np.abs(xs), room)
+    with np.errstate(all="ignore"):
+        lo, hi = xs - d, xs + d
+        diff = (phi.inverse(hi) - phi.inverse(lo)) / (hi - lo)
+        err = np.max(np.abs(phi.inverse_slope(xs) - diff) / diff)
+    if not err <= _SLOPE_RTOL:
+        raise ValueError(f"{phi.name}: inverse slope error {err:g}")
 
 
 def identity() -> Homeomorphism:
@@ -89,6 +103,7 @@ def identity() -> Homeomorphism:
         a=None,
         forward=lambda y: np.asarray(y, dtype=float) + 0.0,
         inverse=lambda x: np.asarray(x, dtype=float) + 0.0,
+        inverse_slope=lambda x: np.ones(np.shape(x)),
     )
 
 
@@ -106,7 +121,10 @@ def power(p: float) -> Homeomorphism:
         x = np.asarray(x, dtype=float)
         return np.sign(x) * np.abs(x) ** (1.0 / q)
 
-    return Homeomorphism("power", Kind.CLASSIC, None, fwd, inv)
+    def slope(x):
+        return np.abs(np.asarray(x, dtype=float)) ** (1.0 / q - 1.0) / q
+
+    return Homeomorphism("power", Kind.CLASSIC, None, fwd, inv, slope)
 
 
 def mean_curvature(a: float) -> Homeomorphism:
@@ -124,7 +142,10 @@ def mean_curvature(a: float) -> Homeomorphism:
         s = np.asarray(x, dtype=float) / a
         return s / np.sqrt(1.0 - s * s)
 
-    return Homeomorphism("mean_curvature", Kind.BOUNDED, a, fwd, inv)
+    def slope(x):
+        return 1.0 / (a * (1.0 - (np.asarray(x, dtype=float) / a) ** 2) ** 1.5)
+
+    return Homeomorphism("mean_curvature", Kind.BOUNDED, a, fwd, inv, slope)
 
 
 def relativistic(a: float) -> Homeomorphism:
@@ -142,7 +163,10 @@ def relativistic(a: float) -> Homeomorphism:
         x = np.asarray(x, dtype=float)
         return x / np.hypot(1.0, x / a)
 
-    return Homeomorphism("relativistic", Kind.SINGULAR, a, fwd, inv)
+    def slope(x):
+        return (1.0 + (np.asarray(x, dtype=float) / a) ** 2) ** -1.5
+
+    return Homeomorphism("relativistic", Kind.SINGULAR, a, fwd, inv, slope)
 
 
 _CATALOG = {

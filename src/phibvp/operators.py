@@ -9,10 +9,9 @@ phi^{-1}(h - s) over [0, T].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .expr import EvalDomainError, Expr, eval_many
 from .function_space import (
@@ -58,12 +57,14 @@ class AdmissibilityViolation(Exception):
 class QphiResult:
     """Root of s -> integral of phi^{-1}(h - s): the unique shift making
     phi^{-1}(h - s) integrate to zero.  min h <= s <= max h always;
-    residual is the integral at s, iterations the number of integrals
-    evaluated, the residual's included (0 for a constant h)."""
+    residual is the integral at s, iterations the number of such
+    integrals evaluated, the residual's included (0 for a constant h),
+    and inverse the read-only samples phi^{-1}(h - s) it integrates."""
 
     s: float
     residual: float
     iterations: int
+    inverse: np.ndarray = field(compare=False, repr=False)
 
 
 def nemytskii(f: Expr, w: GridFunction) -> np.ndarray:
@@ -80,16 +81,34 @@ def nemytskii(f: Expr, w: GridFunction) -> np.ndarray:
             f"{float(w.u[i])!r}, {float(w.du[i])!r})") from None
 
 
+def _shift_integral(phi: Homeomorphism, grid: Grid, d: np.ndarray,
+                    s: float) -> tuple[float, np.ndarray]:
+    """The integral of x = phi^{-1}(d), d = h - s, and x read-only; an
+    integral that overflows is bad input, named by s."""
+    x = phi.inverse(d)
+    x.setflags(write=False)
+    g = integral(grid, x)
+    if not math.isfinite(g):
+        raise ValueError(f"the integral of phi^-1(h - s) overflows at s = {s!r}")
+    return g, x
+
+
 def q_phi(phi: Homeomorphism, grid: Grid, h: np.ndarray) -> QphiResult:
-    """Solve G(s) = integral_0^T phi^{-1}(h - s) dt = 0 by Brent's method.
+    """Solve G(s) = integral_0^T phi^{-1}(h - s) dt = 0 by safeguarded Newton.
 
     G is strictly decreasing with G(min h) >= 0 >= G(max h), so the
     bracket is [min h, max h].  For a bounded-range phi the arguments
     h - s stay in (-a, a) because sup|h| < a/2 is required up front.
-    brentq narrows the bracket to a few ulps of its scale (xtol and
-    scipy's default rtol of 4 eps), at most QPHI_MAX_ITER steps; a
-    bracket without a sign change means corrupt input, and a G that
-    overflows raises ValueError.
+    Newton steps on G' = -integral of phi.inverse_slope(h - s) start at
+    mean(h) (min h if that overflows).  Each G(s) narrows the bracket by
+    its sign, and a step bisects it instead when the slope integral is
+    not finite and positive, or when the Newton step leaves the bracket
+    or is not half the step before last.  The evaluated s whose next step
+    is below a few ulps of the bracket's scale is returned, after at most
+    QPHI_MAX_ITER integrals.  A bracket that collapses onto an end of
+    [min h, max h] is checked there: G with the wrong sign at min h or
+    max h means corrupt input (NoSignChangeError).  A G that overflows
+    raises ValueError naming s.
     """
     h = np.asarray(h, dtype=float)
     if h.shape != (grid.n,):
@@ -103,40 +122,51 @@ def q_phi(phi: Homeomorphism, grid: Grid, h: np.ndarray) -> QphiResult:
         if sup_h >= phi.a / 2.0:
             raise BoundedPreconditionError(sup_h, phi.a / 2.0)
 
-    # through args, h stays out of the reference cycle of brentq's wrapper of G
-    def G(s: float, h: np.ndarray) -> float:
-        val = integral(grid, phi.inverse(h - s))
-        if not math.isfinite(val):
-            raise OverflowError(
-                f"the integral of phi^-1(h - s) overflows at s = {s!r}")
-        return val
-
     scale = max(1.0, abs(hm), abs(hM))
-    if hM - hm <= 1e-15 * scale:
-        s = float(h[0])
-        return QphiResult(s, G(s, h), 0)
-
-    try:
-        # numpy's overflow warning would not say which input overflowed
-        with np.errstate(over="ignore", invalid="ignore"):
-            s, info = brentq(G, hm, hM, args=(h,), xtol=4e-16 * scale, disp=False,
-                             maxiter=QPHI_MAX_ITER, full_output=True)
-    except OverflowError as exc:
-        raise ValueError(str(exc)) from None
-    except ValueError as exc:
-        raise NoSignChangeError(
-            f"no sign change of G on [{hm!r}, {hM!r}] ({exc}): corrupt input"
-        ) from None
-    return QphiResult(s, G(s, h), info.function_calls + 1)
-
-
-def _inverse_guarded(phi: Homeomorphism, x: np.ndarray, lam: float) -> np.ndarray:
-    """Vectorized phi^{-1} with the bounded-range boundary guard."""
-    if phi.kind is Kind.BOUNDED:
-        worst = sup_norm(x)
-        if worst > phi.a - EPS_DOM:
-            raise AdmissibilityViolation(worst, phi.a, lam)
-    return phi.inverse(x)
+    xtol = 4e-16 * scale
+    lo, hi = hm, hM
+    before = last = hM - hm
+    iterations = 0
+    # a map without a closed-form slope is solved by bisection alone
+    slope = getattr(phi, "inverse_slope", None)
+    # numpy's warnings would not say which input overflowed
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if hM - hm <= 1e-15 * scale:
+            s = float(h[0])
+            g, x = _shift_integral(phi, grid, h - s, s)
+            return QphiResult(s, g, 0, x)
+        s = mean(grid, h)
+        s = min(max(s, hm), hM) if math.isfinite(s) else hm
+        while True:
+            d = h - s
+            g, x = _shift_integral(phi, grid, d, s)
+            iterations += 1
+            if g == 0.0 or iterations == QPHI_MAX_ITER:
+                break
+            if g > 0.0:
+                lo = s
+            else:
+                hi = s
+            if lo == hM or hi == hm:
+                raise NoSignChangeError(f"no sign change of G on [{hm!r}, {hM!r}] "
+                                        f"(G({s!r}) = {g!r}): corrupt input")
+            dg = integral(grid, slope(d)) if slope else math.nan
+            step = g / dg if 0.0 < dg < math.inf else math.inf
+            if abs(step) < xtol:
+                break
+            if not (lo < s + step < hi and 2.0 * abs(step) <= before):
+                step = 0.5 * lo + 0.5 * hi - s
+                if abs(step) < xtol:
+                    # the bracket has collapsed; an end of [min h, max h] on
+                    # the root's side may not have been evaluated yet
+                    end = hi if g > 0.0 else lo
+                    if end not in (hm, hM):
+                        break
+                    s = end
+                    continue
+            before, last = last, abs(step)
+            s += step
+    return QphiResult(s, g, iterations, x)
 
 
 def dirichlet_map(phi: Homeomorphism, f: Expr, w: GridFunction,
@@ -158,11 +188,13 @@ def dirichlet_map(phi: Homeomorphism, f: Expr, w: GridFunction,
     sup_g = sup_norm(g)
     if sup_g >= phi.a / 2.0:
         raise AdmissibilityViolation(sup_g, phi.a / 2.0, lam)
-    s = q_phi(phi, grid, g).s
-    du = _inverse_guarded(phi, g - s, lam)
-    u = cumulative_integral_from_0(grid, du)
+    shift = q_phi(phi, grid, g)
+    worst = sup_norm(g - shift.s)
+    if worst > phi.a - EPS_DOM:
+        raise AdmissibilityViolation(worst, phi.a, lam)
+    u = cumulative_integral_from_0(grid, shift.inverse)
     u = u - u[-1] * (grid.nodes / grid.T)
-    return GridFunction(grid, u, du)
+    return GridFunction(grid, u, shift.inverse)
 
 
 def singular_threepoint_map(phi: Homeomorphism, f: Expr,
@@ -178,11 +210,10 @@ def singular_threepoint_map(phi: Homeomorphism, f: Expr,
         raise ValueError("the three-point singular map needs a singular phi")
     grid = w.grid
     k = cumulative_integral_to_T(grid, nemytskii(f, w))
-    s = q_phi(phi, grid, k).s
-    du = phi.inverse(k - s)
-    u0 = float(phi.inverse(-s))
-    u = u0 + cumulative_integral_from_0(grid, du)
-    return GridFunction(grid, u, du)
+    shift = q_phi(phi, grid, k)
+    u0 = float(phi.inverse(-shift.s))
+    u = u0 + cumulative_integral_from_0(grid, shift.inverse)
+    return GridFunction(grid, u, shift.inverse)
 
 
 def classic_threepoint_map(phi: Homeomorphism, f: Expr, w: GridFunction,

@@ -6,6 +6,8 @@ against an independent Newton multistart that counts zeros with orientation
 signs.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -290,6 +292,19 @@ class TestDegree:
         assert res.winding == -1
         assert abs(res.min_boundary_norm - 0.7038355506932806) <= 1e-12
         assert res.boundary_samples >= 256
+
+    def test_ring_batch_frees_kernel_intermediates(self):
+        # the (256, 201) ring batch takes 411 KB per array; f's kernel frees
+        # each intermediate once consumed (a peak of 2.18 MB kept them all)
+        f = parse_expr("exp(v)/2.0023 - 1")
+        brouwer_degree(f, 1.0, RHO_MIN)  # compiles the kernel
+        tracemalloc.start()
+        try:
+            brouwer_degree(f, 1.0, RHO_MIN)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.1e6
 
     def test_benchmark_winding_agrees_with_newton_multistart(self):
         res = brouwer_degree(F_CLS, 1.0, RHO_MIN)

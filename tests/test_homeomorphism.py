@@ -1,7 +1,10 @@
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from phibvp.homeomorphism import (
     Kind,
@@ -87,6 +90,37 @@ def test_relativistic_closed_form():
     phi = relativistic(1.0)
     assert float(phi.forward(0.6)) == pytest.approx(0.75)
     assert float(phi.inverse(0.75)) == pytest.approx(0.6, rel=1e-14)
+
+
+@settings(max_examples=300, deadline=None)
+@given(phi=st.sampled_from(ALL), frac=st.floats(1e-3, 1.0 - 1e-6),
+       sign=st.sampled_from([-1.0, 1.0]))
+# the edges: x near a for a bounded phi, phi^{-1}(x) near -a for a singular one
+@example(phi=ALL[3], frac=1.0 - 1e-6, sign=1.0)
+@example(phi=ALL[5], frac=1.0 - 1e-6, sign=-1.0)
+def test_inverse_slope_matches_a_centred_difference(phi, frac, sign):
+    if phi.kind is Kind.BOUNDED:
+        x = sign * frac * phi.a
+        d = 1e-4 * min(abs(x), phi.a - abs(x))
+    else:
+        hi = phi.a if phi.kind is Kind.SINGULAR else 20.0
+        x = float(phi.forward(sign * frac * hi))
+        d = 1e-4 * abs(x)
+    lo, up = x - d, x + d
+    diff = (float(phi.inverse(up)) - float(phi.inverse(lo))) / (up - lo)
+    assert float(phi.inverse_slope(x)) == pytest.approx(diff, rel=1e-5)
+
+
+def test_power_inverse_slope_is_infinite_at_zero():
+    with np.errstate(divide="ignore"):
+        assert float(power(4.0).inverse_slope(0.0)) == np.inf
+    assert float(power(2.0).inverse_slope(0.0)) == 1.0
+
+
+def test_wrong_inverse_slope_is_rejected():
+    phi = mean_curvature(1.0)
+    with pytest.raises(ValueError, match="inverse slope error"):
+        dataclasses.replace(phi, inverse_slope=lambda x: 0.5 * phi.inverse_slope(x))
 
 
 def test_bounded_range_respected():

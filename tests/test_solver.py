@@ -229,8 +229,8 @@ FAILED_HANDOFFS = [
     ((D, ("mean_curvature", 1.0), "u^2*100 + 1", 2.0),
      "stalled at lambda=0.11875 (best residual 0.00188393 not halved",
      "picard+newton", 1,
-     "fp_residual=inf\node_residual=2.0519938567415443\nbc_residual=0.0\n"
-     "omega_margin=-2.848133956676609\niterations=81\n"
+     "fp_residual=inf\node_residual=2.051993856741529\nbc_residual=0.0\n"
+     "omega_margin=-2.8481339566765893\niterations=81\n"
      "lambda_path=0.1:8,0.1125:8,0.115625:8,0.11875:57\n"),
 ]
 
