@@ -103,9 +103,13 @@ def q_phi(phi: Homeomorphism, grid: Grid, h: np.ndarray) -> QphiResult:
     mean(h) (min h if that overflows).  Each G(s) narrows the bracket by
     its sign, and a step bisects it instead when the slope integral is
     not finite and positive, or when the Newton step leaves the bracket
-    or is not half the step before last.  The evaluated s whose next step
-    is below a few ulps of the bracket's scale is returned, after at most
-    QPHI_MAX_ITER integrals.  A bracket that collapses onto an end of
+    or is not half the step before last; a Newton step below xtol, a few
+    ulps of the bracket's scale, is lengthened to xtol.  The search ends
+    once G(s) is zero to its rounding (|G| <= 1e-15 T sup|phi^{-1}(h - s)|)
+    or the bracket has closed to 2 xtol, after at most
+    QPHI_MAX_ITER integrals, and returns the evaluated s of least |G|.
+    A short Newton step alone does not end it, since phi^{-1} may be
+    steep at a node value of h.  A bracket that collapses onto an end of
     [min h, max h] is checked there: G with the wrong sign at min h or
     max h means corrupt input (NoSignChangeError).  A G that overflows
     raises ValueError naming s.
@@ -141,7 +145,11 @@ def q_phi(phi: Homeomorphism, grid: Grid, h: np.ndarray) -> QphiResult:
             d = h - s
             g, x = _shift_integral(phi, grid, d, s)
             iterations += 1
-            if g == 0.0 or iterations == QPHI_MAX_ITER:
+            if iterations == 1 or abs(g) < abs(best[1]):
+                best = s, g, x
+            # G(s) zero to its rounding ends the search
+            if (abs(g) <= 1e-15 * grid.T * sup_norm(x)
+                    or iterations == QPHI_MAX_ITER):
                 break
             if g > 0.0:
                 lo = s
@@ -150,22 +158,25 @@ def q_phi(phi: Homeomorphism, grid: Grid, h: np.ndarray) -> QphiResult:
             if lo == hM or hi == hm:
                 raise NoSignChangeError(f"no sign change of G on [{hm!r}, {hM!r}] "
                                         f"(G({s!r}) = {g!r}): corrupt input")
+            if hi - lo <= 2.0 * xtol:
+                # the bracket has closed; an end of [min h, max h] on the
+                # root's side may not have been evaluated yet
+                end = hi if g > 0.0 else lo
+                if end not in (hm, hM):
+                    break
+                s = end
+                continue
             dg = integral(grid, slope(d)) if slope else math.nan
             step = g / dg if 0.0 < dg < math.inf else math.inf
             if abs(step) < xtol:
-                break
+                # a short step need not mean a near root, as phi^-1 may be
+                # steep at a node: step xtol and let the sign of G confirm it
+                step = math.copysign(xtol, step)
             if not (lo < s + step < hi and 2.0 * abs(step) <= before):
                 step = 0.5 * lo + 0.5 * hi - s
-                if abs(step) < xtol:
-                    # the bracket has collapsed; an end of [min h, max h] on
-                    # the root's side may not have been evaluated yet
-                    end = hi if g > 0.0 else lo
-                    if end not in (hm, hM):
-                        break
-                    s = end
-                    continue
             before, last = last, abs(step)
             s += step
+    s, g, x = best
     return QphiResult(s, g, iterations, x)
 
 
