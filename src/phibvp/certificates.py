@@ -427,65 +427,54 @@ def winding_number(map_fn, rho: float, n_start: int = 256) -> DegreeResult:
 
     map_fn takes arrays a, b and returns arrays (g1, g2) of their shape.
     It is called once with the n_start uniform boundary samples, then with
-    floats at the midpoint of each arc whose angle increment exceeds pi/2,
-    in a depth-first walk of the arcs in order, at most _MAX_DEPTH times
-    per initial arc; an arc still unresolved there raises BoundaryZero.
-    Also raises BoundaryZero when any evaluated sample comes within
-    1e-9 * scale of the origin (scale = largest initial sample norm).
+    a one-point array at the midpoint of each arc whose angle increment
+    exceeds pi/2.  A stack walks the arcs depth first, in order round the
+    circle, bisecting each initial arc at most _MAX_DEPTH times; an arc
+    still unresolved there raises BoundaryZero.  Also raises BoundaryZero
+    when any evaluated sample comes within 1e-9 * scale of the origin
+    (scale = largest initial sample norm), the first such in walk order.
     """
     if rho <= 0:
         raise ValueError("radius must be positive")
-
-    state = {"min_norm": math.inf, "scale": 0.0, "evals": 0, "depth": 0}
-
-    def point(g1, g2) -> tuple[float, float, float]:
-        nrm = math.hypot(g1, g2)
-        state["evals"] += 1
-        state["min_norm"] = min(state["min_norm"], nrm)
-        return g1, g2, nrm
-
-    def sample(theta: float) -> tuple[float, float, float]:
-        return point(*map_fn(rho * math.cos(theta), rho * math.sin(theta)))
-
-    thetas = [2.0 * math.pi * k / n_start for k in range(n_start)]
-    g1, g2 = map_fn(np.array([rho * math.cos(th) for th in thetas]),
-                    np.array([rho * math.sin(th) for th in thetas]))
-    pts = [point(x, y) for x, y in zip(np.ravel(g1).tolist(), np.ravel(g2).tolist())]
-    state["scale"] = max(p[2] for p in pts)
-    if state["min_norm"] <= 1e-9 * state["scale"]:
-        raise BoundaryZero(rho, state["min_norm"], state["scale"])
-
-    def angle(p) -> float:
-        return math.atan2(p[1], p[0])
-
-    def arc(th1: float, p1, th2: float, p2, depth: int) -> float:
-        delta = angle(p2) - angle(p1)
+    thetas = [2.0 * math.pi * k / n_start for k in range(n_start)] + [2.0 * math.pi]
+    g1, g2 = map_fn(np.array([rho * math.cos(th) for th in thetas[:-1]]),
+                    np.array([rho * math.sin(th) for th in thetas[:-1]]))
+    g1, g2 = np.ravel(g1).tolist(), np.ravel(g2).tolist()
+    norms = list(map(math.hypot, g1, g2))
+    min_norm, scale = min(math.inf, *norms), max(norms)
+    angles = list(map(math.atan2, g2, g1))
+    angles.append(angles[0])
+    evals, max_depth, total = n_start, 0, 0.0
+    # arcs (theta1, angle1, theta2, angle2, depth), the next one on top
+    stack = [(thetas[k], angles[k], thetas[k + 1], angles[k + 1], 0)
+             for k in reversed(range(n_start))]
+    while stack:
+        # the samples so far, the last midpoint's included
+        if min_norm <= 1e-9 * scale:
+            raise BoundaryZero(rho, min_norm, scale)
+        th1, an1, th2, an2, depth = stack.pop()
+        delta = an2 - an1
         delta -= 2.0 * math.pi * round(delta / (2.0 * math.pi))
         if abs(delta) <= 0.5 * math.pi:
-            return delta
+            total += delta
+            continue
         if depth >= _MAX_DEPTH:
-            raise BoundaryZero(rho, state["min_norm"], state["scale"])
-        state["depth"] = max(state["depth"], depth + 1)
+            raise BoundaryZero(rho, min_norm, scale)
+        max_depth = max(max_depth, depth + 1)
         mid = 0.5 * (th1 + th2)
-        pm = sample(mid)
-        if state["min_norm"] <= 1e-9 * state["scale"]:
-            raise BoundaryZero(rho, state["min_norm"], state["scale"])
-        return arc(th1, p1, mid, pm, depth + 1) + arc(mid, pm, th2, p2, depth + 1)
-
-    total = 0.0
-    for k in range(n_start):
-        th1 = thetas[k]
-        th2 = thetas[k + 1] if k + 1 < n_start else 2.0 * math.pi
-        p2 = pts[(k + 1) % n_start]
-        total += arc(th1, pts[k], th2, p2, 0)
+        (x,), (y,) = map_fn(np.array([rho * math.cos(mid)]),
+                            np.array([rho * math.sin(mid)]))
+        evals += 1
+        min_norm = min(min_norm, math.hypot(x, y))
+        anm = math.atan2(y, x)
+        stack += [(mid, anm, th2, an2, depth + 1), (th1, an1, mid, anm, depth + 1)]
 
     turns = total / (2.0 * math.pi)
     w = round(turns)
     if abs(turns - w) > 1e-6:
         raise ArithmeticError(
             f"winding accumulation inconsistent: {turns!r} is not near an integer")
-    return DegreeResult(rho, int(w), state["min_norm"], state["depth"],
-                        state["evals"])
+    return DegreeResult(rho, int(w), min_norm, max_depth, evals)
 
 
 def _check_horizon(T: float) -> None:

@@ -15,8 +15,9 @@ Problem files are flat ``key = value`` text; expressions are quoted.
 Outputs are deterministic: same input file, same bytes out.
 
 Exit codes: 0 success; 2 certificate not granted / degree zero or
-undefined; 3 solver did not converge; 4 malformed input or problem
-definition; 5 a domain or admissibility guard tripped.
+undefined; 3 solver did not converge; 4 malformed input, problem
+definition or a grid too large to allocate; 5 a domain or admissibility
+guard tripped.
 """
 
 from __future__ import annotations
@@ -27,9 +28,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .certificates import (BoundaryZero, InconsistentDerivative,
-                           brouwer_degree, check_growth, check_signs,
-                           eval_profile)
+from .certificates import (BoundaryZero, InconsistentDerivative, Verdict,
+                           _report_text, brouwer_degree, check_growth,
+                           check_signs, eval_profile)
 # eval_many is unused here, but bench/tracing.py patches this name
 from .expr import ParseError, eval_many, parse_expr, variables  # noqa: F401
 from .function_space import DEFAULT_N, Grid
@@ -151,8 +152,6 @@ class _Problem:
 
     def number(self, key: str, default: float | None = None) -> float:
         if key not in self.raw:
-            if default is None:
-                raise ProblemFileError(self.path, 0, f"missing key {key!r}")
             return default
         try:
             return float(self.raw[key])
@@ -225,8 +224,8 @@ def cmd_solve(args) -> int:
         f=prob.expr("f"),
         T=prob.number("T"),
         grid_n=prob.integer("grid_n", DEFAULT_N),
-        tol_fp=prob.number("tol", 1e-10),
-        lambda_step=prob.number("lambda_step", 0.1),
+        tol_fp=prob.number("tol", ProblemSpec.tol_fp),
+        lambda_step=prob.number("lambda_step", ProblemSpec.lambda_step),
     )
     base = _out_base(prob.path, args.out_dir)
     try:
@@ -255,9 +254,9 @@ def cmd_check(args) -> int:
     if cls is ProblemClass.THREEPOINT_SINGULAR:
         # singular-range phi needs no side conditions: the map is
         # self-confining, so there is nothing to check
-        text = ("certificate=none\n"
-                "verdict=unconditional\n"
-                "detail=singular-range phi confines the derivative by itself\n")
+        text = _report_text("none", Verdict(
+            "unconditional",
+            detail="singular-range phi confines the derivative by itself"), (), None)
         _write(_out_path(base, ".certificate.txt"), text)
         print("unconditional: no hypotheses to check for this class")
         return EXIT_OK
@@ -374,9 +373,10 @@ def main(argv=None) -> int:
             NoSignChangeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except (ValueError, InconsistentDerivative) as exc:
+    except (ValueError, InconsistentDerivative, MemoryError) as exc:
         # malformed file or expression, domain fault while evaluating an
-        # expression, or a bad problem definition (wrong phi kind, bad T)
+        # expression, bad problem definition (wrong phi kind, bad T) or a
+        # grid too large to allocate
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

@@ -99,15 +99,16 @@ def q_phi(phi: Homeomorphism, grid: Grid, h: np.ndarray) -> QphiResult:
     G is strictly decreasing with G(min h) >= 0 >= G(max h), so the
     bracket is [min h, max h].  For a bounded-range phi the arguments
     h - s stay in (-a, a) because sup|h| < a/2 is required up front.
-    Newton steps on G' = -integral of phi.inverse_slope(h - s) start at
-    mean(h) (min h if that overflows).  Each G(s) narrows the bracket by
-    its sign, and a step bisects it instead when the slope integral is
-    not finite and positive, or when the Newton step leaves the bracket
-    or is not half the step before last; a Newton step below xtol, a few
-    ulps of the bracket's scale, is lengthened to xtol.  The search ends
-    once G(s) is zero to its rounding (|G| <= 1e-15 T sup|phi^{-1}(h - s)|)
-    or the bracket has closed to 2 xtol, after at most
-    QPHI_MAX_ITER integrals, and returns the evaluated s of least |G|.
+    Newton steps on G' = -integral of phi.inverse_slope(h - s), the
+    closed-form slope every Homeomorphism carries, start at mean(h) (min h
+    if that overflows).  Each G(s) narrows the bracket by its sign, and a
+    step bisects it instead when the slope integral is not finite and
+    positive, or when the Newton step leaves the bracket or is not half
+    the step before last; a Newton step below xtol, a few ulps of the
+    bracket's scale, is lengthened to xtol.  The search ends once G(s) is
+    zero to its rounding (|G| <= 1e-15 T sup|phi^{-1}(h - s)|) or the
+    bracket has closed to 2 xtol, after at most QPHI_MAX_ITER integrals,
+    and returns the evaluated s of least |G|.
     A short Newton step alone does not end it, since phi^{-1} may be
     steep at a node value of h.  A bracket that collapses onto an end of
     [min h, max h] is checked there: G with the wrong sign at min h or
@@ -131,8 +132,6 @@ def q_phi(phi: Homeomorphism, grid: Grid, h: np.ndarray) -> QphiResult:
     lo, hi = hm, hM
     before = last = hM - hm
     iterations = 0
-    # a map without a closed-form slope is solved by bisection alone
-    slope = getattr(phi, "inverse_slope", None)
     # numpy's warnings would not say which input overflowed
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if hM - hm <= 1e-15 * scale:
@@ -166,7 +165,7 @@ def q_phi(phi: Homeomorphism, grid: Grid, h: np.ndarray) -> QphiResult:
                     break
                 s = end
                 continue
-            dg = integral(grid, slope(d)) if slope else math.nan
+            dg = integral(grid, phi.inverse_slope(d))
             step = g / dg if 0.0 < dg < math.inf else math.inf
             if abs(step) < xtol:
                 # a short step need not mean a near root, as phi^-1 may be

@@ -38,6 +38,7 @@ import scipy.optimize
 # eval_many is unused here, but bench/tracing.py patches this name
 from .expr import EvalDomainError, Expr, eval_many, kernel  # noqa: F401
 from .function_space import (
+    DEFAULT_N,
     Grid,
     GridFunction,
     cumulative_integral_from_0,
@@ -92,7 +93,7 @@ class ProblemSpec:
     phi: Homeomorphism
     f: Expr
     T: float
-    grid_n: int = 1001
+    grid_n: int = DEFAULT_N
     tol_fp: float = 1e-10
     lambda_step: float = 0.1
 
@@ -369,6 +370,10 @@ def _exit_reason(st: _StageResult, lam: float) -> str:
 def solve(spec: ProblemSpec) -> SolveReport:
     """Iterate the fixed-point map to tolerance and return diagnostics.
 
+    One continuation loop: a stage at each lambda = k * lambda_step up to
+    1, the step halved where a stage leaves the Dirichlet map's admissible
+    set.  The singular map takes no lambda: its step is 1, one stage.
+
     Raises NonConvergence (with the diagnostic report attached) when a
     stage converges neither by iteration nor by Newton-Krylov, or diverges
     or meets a domain fault, and
@@ -382,20 +387,18 @@ def solve(spec: ProblemSpec) -> SolveReport:
     # exact rational arithmetic on the step as written, so that lambda is
     # k * step rounded once (0.3, not 0.30000000000000004), halving stays
     # exact and the last stage is exactly 1
-    lam_step = Fraction(str(float(spec.lambda_step)))
+    lam_step = Fraction(1 if spec.problem is ProblemClass.THREEPOINT_SINGULAR
+                        else str(float(spec.lambda_step)))
     lam_done = Fraction(0)
-    first = True
-    single_pass = spec.problem is ProblemClass.THREEPOINT_SINGULAR
-    while True:
-        lam = 1.0 if single_pass else float(min(1, lam_done + lam_step))
+    while lam_done < 1:
+        lam = float(min(1, lam_done + lam_step))
         try:
-            st = _picard_stage(spec, lam, u, first)
+            st = _picard_stage(spec, lam, u, not path)
         except AdmissibilityViolation:
-            if not single_pass and lam_step / 2 >= _LAMBDA_STEP_MIN:
+            if lam_step / 2 >= _LAMBDA_STEP_MIN:
                 lam_step /= 2
                 continue
             raise
-        first = False
         iterations, best = st.iterations, st.best_residual
         if not st.converged:
             # only a stalled or used-up stage is near a fixed point for
@@ -417,9 +420,8 @@ def solve(spec: ProblemSpec) -> SolveReport:
                 fp_res, fp_ok = np.inf, False
             report = _build_report(spec, u, path, method, fp_res, fp_ok)
             raise NonConvergence(min(best, st.best_residual), report.iterations, report)
-        if single_pass or lam == 1.0:
-            break
-        lam_done += lam_step
+        # a k * step that rounds to lambda = 1.0 ends the path as 1 does
+        lam_done = lam_done + lam_step if lam < 1.0 else Fraction(1)
 
     # a converged stage's best residual is the lambda = 1 gap of u
     report = _build_report(spec, u, path, method, st.best_residual, True)
@@ -515,11 +517,11 @@ def _shoot(spec: ProblemSpec, grid: Grid,
     (u'(T) - u'(0), u(T) - u'(0)) for the classic class; (u(T) - u(0),
     u'(T) - u(0)) for the singular class.  Every point is integrated in one
     sweep with its FD neighbours, so one sweep scores all candidates (max |R|
-    over a point and its neighbours, +inf if any is invalid) and gives each
-    its Jacobian, and an accepted trial already carries its next Jacobian
-    and its trajectory.  A candidate that already meets the tolerance is
-    the answer as it stands.  A start whose max |R| has not halved in
-    _NEWTON_STALL_STEPS steps is abandoned, by Picard's stall rule.
+    over a point and its neighbours, nan if _rk4_batch nan-filled any run)
+    and gives each its Jacobian, and an accepted trial already carries its
+    next Jacobian and its trajectory.  A candidate that already meets the
+    tolerance is the answer as it stands.  A start whose max |R| has not
+    halved in _NEWTON_STALL_STEPS steps is abandoned, by Picard's stall rule.
     """
     phi = spec.phi
     d = candidates.shape[1]
@@ -539,7 +541,6 @@ def _shoot(spec: ProblemSpec, grid: Grid,
                 out = np.stack([vT - v0, U[-1] - v0], axis=1)
             else:
                 out = np.stack([U[-1] - U[0], vT - U[0]], axis=1)
-        out[bad] = np.nan
         return out.reshape(len(P), d + 1, d), (U, W, bad)
 
     def converged(p: np.ndarray, r0: np.ndarray) -> bool:

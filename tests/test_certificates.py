@@ -474,3 +474,23 @@ def test_boundary_zero_ignores_samples_after_it_in_walk_order():
     with pytest.raises(BoundaryZero) as ei:
         winding_number(fn, 1.0)
     assert ei.value.min_norm == 1.919590361536871e-09
+
+
+def test_bisection_walks_the_left_half_of_an_arc_first():
+    # a unit-modulus map whose phase turns 0.7 pi over each half of initial
+    # arc 10, and whose modulus dips to about 1e-12 at the quarter point
+    # and 2e-12 at the three-quarter point: both halves need a bisection,
+    # and the walk meets the left half's dip first
+    step = 2.0 * np.pi / 256
+
+    def fn(x, y):
+        pos = np.mod(np.arctan2(y, x), 2.0 * np.pi) / step
+        phase = np.interp(pos, [0.0, 10.0, 10.5, 11.0, 256.0],
+                          [0.0, 0.0, 0.7 * np.pi, 1.4 * np.pi, 2.0 * np.pi])
+        modulus = (1.0 - (1.0 - 1e-12) * np.exp(-((pos - 10.25) / 1e-3) ** 2)
+                   - (1.0 - 2e-12) * np.exp(-((pos - 10.75) / 1e-3) ** 2))
+        return modulus * np.cos(phase), modulus * np.sin(phase)
+
+    with pytest.raises(BoundaryZero) as ei:
+        winding_number(fn, 1.0)
+    assert ei.value.min_norm < 1.5e-12

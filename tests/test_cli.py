@@ -143,6 +143,20 @@ def test_solve_nonconvergence_exit_and_report(tmp_path, capsys):
     assert not (tmp_path / "prob.solution.csv").exists()
 
 
+def test_solve_final_check_fails_after_every_stage_met_tol(tmp_path, capsys):
+    # at tol = 1e-2 each lambda stage meets tol_fp, but the boundary
+    # residual of the last iterate is about 1.5e-7, above BC_RESIDUAL_TOL
+    text = (PROBLEMS_DIR / "classic_cubic.txt").read_text() + "tol = 1e-2\n"
+    assert main(["solve", write(tmp_path, text)]) == EXIT_NO_CONVERGENCE
+    assert "error: no convergence" in capsys.readouterr().err
+    report = dict(line.split("=", 1) for line in
+                  (tmp_path / "prob.report.txt").read_text().splitlines())
+    assert report["converged"] == "false"
+    assert float(report["bc_residual"]) > 1e-8
+    assert len(report["lambda_path"].split(",")) == 10
+    assert not (tmp_path / "prob.solution.csv").exists()
+
+
 def test_solve_tilted_classic_matches_oracle(tmp_path, capsys):
     # the tilt (t - 0.5)/2 has zero mean on [0, 1], and this problem has a
     # solution: the solve must reach the shooting oracle's
@@ -332,6 +346,13 @@ def test_qphi_fault_of_h_names_the_point(tmp_path, capsys):
     assert "sample index" not in err
 
 
+def test_qphi_profile_depending_on_u_is_bad_input(tmp_path, capsys):
+    path = write(tmp_path, 'phi = mean_curvature 1\nT = 1\nh = "u"\n')
+    assert main(["qphi", path]) == EXIT_BAD_INPUT
+    assert "h may only depend on ['t'], uses u" in capsys.readouterr().err
+    assert not (tmp_path / "prob.qphi.txt").exists()
+
+
 def test_qphi_constant_projects_to_itself(tmp_path, capsys):
     path = write(tmp_path, "phi = mean_curvature 1\nT = 1\nh = \"0.4\"\n")
     assert main(["qphi", path]) == EXIT_OK
@@ -480,11 +501,42 @@ def test_bad_input_exit_codes(tmp_path, capsys):
         "lambda_step = 1e-9\n",
         "problem = dirichlet\nphi = mean_curvature 1\nT = 0.1\nf = \"0\"\n"
         "grid_n = 2\n",
+        "problem = dirichlet\nphi = mean_curvature 1\nT = abc\nf = \"0\"\n",
+        "problem = dirichlet\nphi = mean_curvature 1\nT = 0.1\nf = \"0\"\n"
+        "grid_n = 2.5\n",
     ]
-    for i, text in enumerate(cases):
+    messages = [
+        "unknown problem class 'heat'", "phi: unknown homeomorphism 'spiral'",
+        "f: unknown identifier 'foo' at position 4", "f: got '*' at position 4",
+        "T must be positive, got -1.0",
+        "dirichlet needs a bounded homeomorphism, got power",
+        "tol must be positive and finite, got nan",
+        "lambda_step must lie in [0.001, 1], got 1e-09",
+        "grid_n must be at least 3, got 2", "T: expected a number, got 'abc'",
+        "grid_n: expected an integer, got '2.5'",
+    ]
+    for i, (text, message) in enumerate(zip(cases, messages, strict=True)):
         path = write(tmp_path, text, f"bad{i}.txt")
         assert main(["solve", path]) == EXIT_BAD_INPUT, text
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error:" in err and message in err, err
+
+
+@pytest.mark.parametrize("cmd,name,text", [
+    ("solve", "solve", DIRICHLET_BENCH),
+    ("qphi", "Grid", 'phi = mean_curvature 1\nT = 1\nh = "0.1"\n'),
+], ids=["solve", "qphi"])
+def test_grid_too_large_to_allocate_is_bad_input(tmp_path, capsys, monkeypatch,
+                                                 cmd, name, text):
+    # the grid's first array fails to allocate; nothing is allocated here
+    def refuse(*args):
+        raise MemoryError("Unable to allocate 745. GiB for an array with "
+                          "shape (100000000000,) and data type float64")
+
+    monkeypatch.setattr(cli, name, refuse)
+    path = write(tmp_path, text + "grid_n = 100000000000\n")
+    assert main([cmd, path]) == EXIT_BAD_INPUT
+    assert "error: Unable to allocate 745. GiB" in capsys.readouterr().err
 
 
 def test_malformed_expression_reports_position(tmp_path, capsys):

@@ -123,6 +123,19 @@ def test_wrong_inverse_slope_is_rejected():
         dataclasses.replace(phi, inverse_slope=lambda x: 0.5 * phi.inverse_slope(x))
 
 
+@pytest.mark.parametrize("phi,change,message", [
+    (mean_curvature(1.0), dict(a=-1.0), "need a > 0"),
+    (identity(), dict(forward=lambda y: y + 1.0), "phi\\(0\\) = 1.0, expected 0"),
+    (identity(), dict(forward=lambda y: np.sin(y)), "not strictly increasing"),
+    (mean_curvature(1.0), dict(forward=lambda y: 2.0 * y / np.sqrt(1.0 + y * y)),
+     "range escapes"),
+    (identity(), dict(inverse=lambda x: 2.0 * x), "inverse round trip error"),
+], ids=["a", "phi0", "increasing", "range", "round-trip"])
+def test_broken_map_is_rejected(phi, change, message):
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(phi, **change)
+
+
 def test_bounded_range_respected():
     phi = mean_curvature(2.0)
     vals = np.asarray(phi.forward(np.array([1e3, 1e6])))

@@ -228,6 +228,28 @@ def make_w(rng, grid, scale=0.5):
 F_MIXED = parse_expr("sin(u)*0.5 + cos(v)*0.5")
 
 
+W11 = zero_function(Grid(1.0, 11))
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: q_phi(identity(), W11.grid, np.zeros(10)),
+     r"expected 11 samples of h, got shape \(10,\)"),
+    (lambda: dirichlet_map(relativistic(1.0), F_MIXED, W11), "bounded-range phi"),
+    (lambda: dirichlet_map(mean_curvature(1.0), F_MIXED, W11, 1.5),
+     r"lambda must lie in \[0, 1\], got 1.5"),
+    (lambda: singular_threepoint_map(mean_curvature(1.0), F_MIXED, W11),
+     "needs a singular phi"),
+    (lambda: classic_threepoint_map(relativistic(1.0), F_MIXED, W11),
+     "needs phi onto R"),
+    (lambda: classic_threepoint_map(identity(), F_MIXED, W11, -0.5),
+     r"lambda must lie in \[0, 1\], got -0.5"),
+], ids=["qphi-shape", "dirichlet-kind", "dirichlet-lambda", "singular-kind",
+        "classic-kind", "classic-lambda"])
+def test_operator_input_guards(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_dirichlet_map_endpoints_exact_zero():
     rng = np.random.default_rng(5150)
     phi = mean_curvature(1.0)
@@ -353,7 +375,8 @@ def test_no_sign_change_error_unreachable_by_shift_range():
 def test_qphi_bracket_without_sign_change_is_corrupt_input():
     # a map that is not increasing breaks the bracket [min h, max h]
     not_increasing = SimpleNamespace(kind=identity().kind,
-                                     inverse=lambda x: np.abs(x) + 1.0)
+                                     inverse=lambda x: np.abs(x) + 1.0,
+                                     inverse_slope=np.sign)
     grid = Grid(1.0, 11)
     with pytest.raises(NoSignChangeError, match="no sign change"):
         q_phi(not_increasing, grid, np.linspace(0.0, 1.0, 11))

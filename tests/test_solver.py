@@ -650,6 +650,18 @@ def test_halved_lambda_path_stays_exact():
     assert lams == [0.225, 0.45, 0.675, 0.7875, 0.9, 1.0]
 
 
+def test_lambda_path_ends_with_its_first_stage_at_one():
+    # 7 * 0.14285714285714285 is 1 - 5e-17, which rounds to lambda = 1.0,
+    # so the seventh stage is the last; the singular map takes no lambda
+    # and runs one stage, whatever lambda_step says
+    report = solve(make_spec(D, ("mean_curvature", 1.0), "u - 2", 0.1,
+                             lambda_step=1 / 7))
+    lams = [lam for lam, _ in report.lambda_path]
+    assert len(lams) == 7 and lams[-1] == 1.0
+    report = solve(make_spec(S, ("relativistic", 1.0), "1", 1.0, lambda_step=0.3))
+    assert [lam for lam, _ in report.lambda_path] == [1.0]
+
+
 def test_problem_class_requires_matching_phi():
     with pytest.raises(ValueError):
         make_spec(D, ("power", 4.0), "u - 2", 0.1)
