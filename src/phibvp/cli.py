@@ -23,6 +23,7 @@ guard tripped.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -342,6 +343,7 @@ def cmd_degree(args) -> int:
     return EXIT_OK if result.winding != 0 else EXIT_UNCERTIFIED
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="phibvp",

@@ -19,10 +19,10 @@ without one: its iterate is not near a fixed point.
 
 ``shooting_oracle`` solves the same problem by a genuinely different
 discretization: RK4 time stepping of the first-order system in
-(u, phi(u')), with damped Newton on the initial data from the best of a
-fixed list of candidate starts, all scored in one sweep.  The search runs
-on a coarse grid first and its root is polished on the requested one.
-Tests compare the two routes; they share no discretization code.
+(u, phi(u')), by multiple shooting from the best of a fixed list of
+candidate starts: every segment of every candidate takes one sweep of at
+most ``_SEGMENT_STEPS`` = 100 steps.  Tests compare the two routes; they
+share no discretization code.
 """
 
 from __future__ import annotations
@@ -437,26 +437,27 @@ _SHOOT_SCAN = 41
 _FD_STEP = 1e-6
 _NEWTON_STEPS = 60
 _NEWTON_STALL_STEPS = 5
-# nodes of the grid the oracle searches on before it polishes the root
-_COARSE_N = 101
+# the most RK4 steps a shooting segment takes
+_SEGMENT_STEPS = 100
 
 
-def _rk4_batch(spec: ProblemSpec, grid: Grid, u0: np.ndarray,
-               w0: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _rk4_batch(spec: ProblemSpec, grid: Grid, start: int | np.ndarray,
+               steps: int | np.ndarray, u0: np.ndarray, w0: np.ndarray,
+               keep: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Integrate u' = phi^{-1}(w), w' = f(t, u, phi^{-1}(w)) for a batch of
-    initial states.  Returns (U, W, invalid): trajectories of shape
-    (n, m) and a mask of runs whose w left phi's range (bounded phi only)
-    or overflowed; invalid runs are nan-filled.
-
-    The state y = (u, w) is stacked in a (2, m) array, and each stage
-    writes its slope (v, dw) into one of four (2, m) buffers.  t reaches
-    f's lenient kernel as a 0-d array, as eval_many passes it: numpy's
-    power of two numpy floats can round differently from its array power.
+    initial states, column c from node start[c] for steps[c] steps (either
+    may be one int for all), its time at step i nodes[start + i] for every
+    i < max(steps).  Returns (U, W, invalid): with keep, trajectories of
+    shape (max(steps) + 1, m), column c ending at row steps[c]; else the
+    ends alone.  invalid masks the runs whose w left phi's range (bounded
+    phi only) or overflowed within their own steps; invalid runs are
+    nan-filled.  A common start reaches f's lenient kernel as a 0-d t, as
+    eval_many passes it: numpy's power of two numpy floats can round
+    differently from its array power.
     """
     inverse = spec.phi.inverse
     f = kernel(spec.f, lenient=True)
     nodes = grid.nodes
-    n = grid.n
     h = grid.h
     half = 0.5 * h
     sixth = h / 6.0
@@ -464,11 +465,14 @@ def _rk4_batch(spec: ProblemSpec, grid: Grid, u0: np.ndarray,
     cap = (spec.phi.a - EPS_DOM) if bounded else np.inf
 
     m = len(u0)
-    Y = np.empty((n, 2, m))
-    Y[0, 0] = u0
-    Y[0, 1] = w0
+    steps = np.broadcast_to(steps, (m,))
+    ending = {s: steps == s for s in np.unique(steps).tolist()}
+    Y = np.empty((max(ending) + 1 if keep else 1, 2, m))
+    Y[0] = u0, w0
+    y, end = Y[0], Y[0].copy()
     k1, k2, k3, k4 = np.empty((4, 2, m))
-    invalid = np.zeros(m, dtype=bool)
+    # invalid as each step leaves it, and as each column's last step did
+    invalid, bad = np.zeros((2, m), dtype=bool)
 
     def rhs(t: np.ndarray, y: np.ndarray, k: np.ndarray) -> None:
         w = y[1]
@@ -480,143 +484,152 @@ def _rk4_batch(spec: ProblemSpec, grid: Grid, u0: np.ndarray,
 
     # a diverging trial trajectory is data: its overflow flags the column
     with np.errstate(all="ignore"):
-        for i in range(n - 1):
-            y = Y[i]
-            t = nodes[i]
+        for i in range(max(ending)):
+            t = nodes[start + i]
             tm = np.asarray(t + half)
             rhs(np.asarray(t), y, k1)
             rhs(tm, y + half * k1, k2)
             rhs(tm, y + half * k2, k3)
             rhs(np.asarray(t + h), y + h * k3, k4)
-            np.add(y, sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4), out=Y[i + 1])
+            y = np.add(y, sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4),
+                       out=Y[i + 1] if keep else y)
+            if (done := ending.get(i + 1)) is not None:
+                end[:, done] = y[:, done]
+                bad[done] = invalid[done]
 
-    U, W = Y[:, 0], Y[:, 1]
-    invalid |= ~np.isfinite(U[-1]) | ~np.isfinite(W[-1])
-    Y[:, :, invalid] = np.nan
-    return U, W, invalid
-
-
-def _trajectory_function(spec: ProblemSpec, grid: Grid, batch: tuple,
-                         c: int) -> GridFunction:
-    """The shooting answer from column c of the (U, W, invalid) batch that
-    integrated it; W is made contiguous for phi.inverse, so that du does not
-    depend on the batch the column came from."""
-    U, W, _ = batch
-    du = np.asarray(spec.phi.inverse(np.ascontiguousarray(W[:, c])), dtype=float)
-    return GridFunction(grid, U[:, c], du)
+    bad |= ~np.isfinite(end).all(axis=0)
+    out = Y if keep else end
+    out[..., bad] = np.nan
+    return out[..., 0, :], out[..., 1, :], bad
 
 
-def _shoot(spec: ProblemSpec, grid: Grid,
-           candidates: np.ndarray) -> tuple[GridFunction, np.ndarray]:
-    """Damped Newton (FD Jacobian, step 1e-6) on the initial data, from the
-    candidate starts in order of score.  Returns the trajectory and its
-    initial data, the root p.
+def _shoot(spec: ProblemSpec, starts: np.ndarray) -> GridFunction:
+    """Multiple shooting (Stoer & Bulirsch, Introduction to Numerical
+    Analysis, 7.3.5) by damped Newton from the starts (u(0), w(0)), in
+    order of max |R|, nan where _rk4_batch nan-filled a run.
 
-    A candidate row is (w0,) for the Dirichlet class, whose u(0) = 0 is
-    fixed, and (u0, w0) otherwise.  Residuals: u(T) for the Dirichlet class;
-    (u'(T) - u'(0), u(T) - u'(0)) for the classic class; (u(T) - u(0),
-    u'(T) - u(0)) for the singular class.  Every point is integrated in one
-    sweep with its FD neighbours, so one sweep scores all candidates (max |R|
-    over a point and its neighbours, nan if _rk4_batch nan-filled any run)
-    and gives each its Jacobian, and an accepted trial already carries its
-    next Jacobian and its trajectory.  A candidate that already meets the
-    tolerance is the answer as it stands.  A start whose max |R| has not
-    halved in _NEWTON_STALL_STEPS steps is abandoned, by Picard's stall rule.
+    [0, T] splits at grid nodes into K = ceil((n - 1) / _SEGMENT_STEPS)
+    segments, the last the longest by at most one step.  The unknowns are
+    the segment starts (u, w) but the Dirichlet u(0) = 0; the residuals
+    are the continuity gaps, then u(T) (Dirichlet), (u'(T) - u'(0), u(T) -
+    u'(0)) (classic) or (u(T) - u(0), u'(T) - u(0)) (singular).  Later
+    segments start flat: w = w(0), u = u(0) + phi^{-1}(w(0)) t.  An end
+    depends on its own segment's start alone, so one FD neighbour (step
+    1e-6) per unknown gives the Jacobian, all points in one sweep.  A trial
+    is accepted when it shrinks the natural level |J^{-1} R|, the Newton
+    step (max |R| stalls once many small gaps weigh as much as the boundary
+    residual); a start whose step has not halved in _NEWTON_STALL_STEPS
+    steps is abandoned.  Only a one-point sweep keeps its trajectories.
     """
-    phi = spec.phi
-    d = candidates.shape[1]
-    offsets = _FD_STEP * np.eye(d + 1, d, -1)
+    grid = Grid(spec.T, spec.grid_n)
+    inverse = spec.phi.inverse
+    K = -(-(grid.n - 1) // _SEGMENT_STEPS)
+    bounds = np.arange(K + 1) * (grid.n - 1) // K
+    first = int(spec.problem is ProblemClass.DIRICHLET_BOUNDED)
+    free = np.arange(first, 2 * K)
+    # a point's columns: its K segments, then one FD neighbour per unknown
+    seg = np.concatenate([np.arange(K), free // 2])
+    offsets = np.zeros((len(seg), 2))
+    offsets[np.arange(K, len(seg)), free % 2] = _FD_STEP
+    lengths = np.diff(bounds)[seg]
 
-    def sweep(P: np.ndarray) -> tuple[np.ndarray, tuple]:
-        X = (P[:, None, :] + offsets).reshape(-1, d)
-        u0 = np.zeros(len(X)) if d == 1 else X[:, 0]
-        U, W, bad = _rk4_batch(spec, grid, u0, X[:, -1])
-        if spec.problem is ProblemClass.DIRICHLET_BOUNDED:
-            out = U[-1, :, None].copy()
-        else:
-            with np.errstate(all="ignore"):
-                v0 = np.asarray(phi.inverse(W[0]), dtype=float)
-                vT = np.asarray(phi.inverse(W[-1]), dtype=float)
-            if spec.problem is ProblemClass.THREEPOINT_CLASSIC:
-                out = np.stack([vT - v0, U[-1] - v0], axis=1)
-            else:
-                out = np.stack([U[-1] - U[0], vT - U[0]], axis=1)
-        return out.reshape(len(P), d + 1, d), (U, W, bad)
+    def residual(S: np.ndarray, E: np.ndarray) -> np.ndarray:
+        """R from segment starts S and ends E, both (..., K, 2)."""
+        gaps = (E[..., :-1, :] - S[..., 1:, :]).reshape(*S.shape[:-2], -1)
+        u0, uT = S[..., 0, 0], E[..., -1, 0]
+        with np.errstate(all="ignore"):
+            v0 = np.asarray(inverse(S[..., 0, 1]), dtype=float)
+            vT = np.asarray(inverse(E[..., -1, 1]), dtype=float)
+        bc = ([uT] if first else [vT - v0, uT - v0]
+              if spec.problem is ProblemClass.THREEPOINT_CLASSIC
+              else [uT - u0, vT - u0])
+        return np.concatenate([gaps, np.stack(bc, axis=-1)], axis=-1)
 
-    def converged(p: np.ndarray, r0: np.ndarray) -> bool:
-        return float(np.max(np.abs(r0))) <= 1e-11 * (1.0 + float(np.max(np.abs(p))))
+    def sweep(Z: np.ndarray) -> tuple:
+        """Starts, ends, residuals and (one point only) trajectories of Z."""
+        X = Z[:, seg] + offsets
+        U, W, _ = _rk4_batch(spec, grid, np.tile(bounds[seg], len(Z)),
+                             np.tile(lengths, len(Z)), X[..., 0].ravel(),
+                             X[..., 1].ravel(), keep=len(Z) == 1)
+        traj = (U, W) if len(Z) == 1 else None
+        if traj:
+            U, W = U[lengths, np.arange(len(seg))], W[lengths, np.arange(len(seg))]
+        E = np.stack([U, W], axis=-1).reshape(X.shape)
+        return X, E, residual(X[:, :K], E[:, :K]), traj
 
-    R, batch = sweep(candidates)
-    score = np.max(np.abs(R), axis=(1, 2))
+    def converged(z: np.ndarray, r: np.ndarray) -> bool:
+        return float(np.max(np.abs(r))) <= 1e-11 * (1.0 + float(np.max(np.abs(z))))
+
+    def answer(traj: tuple) -> GridFunction:
+        U, W = traj
+        node = np.arange(grid.n)
+        s = np.minimum(np.searchsorted(bounds, node, side="right") - 1, K - 1)
+        rows = node - bounds[s]
+        du = np.asarray(inverse(W[rows, s]), dtype=float)
+        return GridFunction(grid, U[rows, s], du)
+
+    v0 = np.asarray(inverse(starts[:, 1:]), dtype=float)
+    Z = np.stack([starts[:, :1] + v0 * grid.nodes[bounds[:-1]],
+                  np.repeat(starts[:, 1:], K, axis=1)], axis=-1)
+    X, E, R, traj = sweep(Z)
+    score = np.where(np.isfinite(E).all(axis=(1, 2)), np.max(np.abs(R), axis=1), np.nan)
     order = [j for j in np.argsort(score, kind="stable") if np.isfinite(score[j])]
     for j in order:
-        if converged(candidates[j], R[j, 0]):
-            return (_trajectory_function(spec, grid, batch, j * (d + 1)),
-                    candidates[j])
-    # Newton needs only R from the candidate sweep; its trajectories (82
-    # columns for the Dirichlet class) need not stay alive meanwhile
-    del batch
+        if converged(Z[j].ravel()[first:], R[j]):
+            return answer(traj or sweep(Z[j][None])[3])
 
     for j in order:
-        p, Rp = candidates[j], R[j]
-        mark_r, mark_k = np.inf, 0
+        z, x, e, r = Z[j], X[j], E[j], R[j]
+        mark, mark_k = np.inf, 0
         for k in range(_NEWTON_STEPS):
-            r0 = Rp[0]
-            nr0 = float(np.max(np.abs(r0)))
-            if nr0 <= _STALL_FACTOR * mark_r:
-                mark_r, mark_k = nr0, k
-            elif k - mark_k >= _NEWTON_STALL_STEPS:
-                break
+            # a neighbour moves one segment's start, and so that end alone
+            S, ends = np.repeat(np.stack([x[:K], e[:K]])[:, None], len(free), axis=1)
+            S[np.arange(len(free)), free // 2] = x[K:]
+            ends[np.arange(len(free)), free // 2] = e[K:]
+            J = (residual(S, ends) - r).T / _FD_STEP
             try:
-                step = np.linalg.solve((Rp[1:] - r0).T / _FD_STEP, -r0)
+                step = np.linalg.solve(J, -r)
             except np.linalg.LinAlgError:
+                break
+            level = float(np.max(np.abs(step)))
+            if level <= _STALL_FACTOR * mark:
+                mark, mark_k = level, k
+            elif k - mark_k >= _NEWTON_STALL_STEPS:
                 break
             alpha = 1.0
             while alpha >= 2.0 ** -20:
-                trial = p + alpha * step
-                Rt, batch = sweep(trial[None])
-                if np.all(np.isfinite(Rt)) and np.max(np.abs(Rt[0, 0])) < nr0:
+                trial = z.copy()
+                trial.ravel()[first:] += alpha * step
+                Xt, Et, Rt, traj = sweep(trial[None])
+                if (np.isfinite(Et).all()
+                        and np.max(np.abs(np.linalg.solve(J, Rt[0]))) < level):
                     break
                 alpha /= 2.0
-            else:  # no trial improved on p
+            else:  # no trial improved on z
                 break
-            p, Rp = trial, Rt[0]
-            if converged(p, Rp[0]):
-                return _trajectory_function(spec, grid, batch, 0), p
+            z, x, e, r = trial, Xt[0], Et[0], Rt[0]
+            if converged(z.ravel()[first:], r):
+                return answer(traj)
     raise OracleFailure("no Newton start converged in the shooting oracle")
 
 
 def shooting_oracle(spec: ProblemSpec) -> GridFunction:
-    """Solve the problem by RK4 shooting on the same grid.
+    """Solve the problem by RK4 multiple shooting on the same grid.
 
     Completely independent of the fixed-point route: different
     discretization family, different unknowns.  Intended for
     cross-validation, not as the primary solver.
-
-    On a grid of more than _COARSE_N nodes the candidate search runs on
-    _COARSE_N nodes, where a sweep is about n / _COARSE_N times cheaper,
-    and its root is the one candidate of the search on the requested grid.
-    RK4 is fourth order, so that root usually meets the tolerance there
-    already, or after a Newton step.  If either level fails, the search
-    runs on the requested grid from the candidate starts.
     """
-    grid = Grid(spec.T, spec.grid_n)
     phi = spec.phi
     if spec.problem is ProblemClass.DIRICHLET_BOUNDED:
         # keeps the top candidate's FD neighbour w0 + _FD_STEP inside (-a, a)
         margin = 1e-6 * phi.a + _FD_STEP
-        starts = np.linspace(-phi.a + margin, phi.a - margin, _SHOOT_SCAN)[:, None]
+        starts = [(0.0, w) for w in np.linspace(-phi.a + margin, phi.a - margin,
+                                                  _SHOOT_SCAN)]
     elif spec.problem is ProblemClass.THREEPOINT_CLASSIC:
         slopes = (0.5, -0.5, 0.0, 1.0, -1.0, 2.0, -2.0, 0.25, -0.25)
         starts = [(s * (1.0 - spec.T), float(phi.forward(s))) for s in slopes]
     else:
         levels = (0.0, 0.3, -0.3, 0.6, -0.6)
         starts = [(c * phi.a, float(phi.forward(c * phi.a * 0.9))) for c in levels]
-    starts = np.array(starts, dtype=float)
-    if spec.grid_n > _COARSE_N:
-        try:
-            _, p = _shoot(spec, Grid(spec.T, _COARSE_N), starts)
-            return _shoot(spec, grid, p[None])[0]
-        except OracleFailure:
-            pass
-    return _shoot(spec, grid, starts)[0]
+    return _shoot(spec, np.array(starts, dtype=float))

@@ -494,3 +494,18 @@ def test_bisection_walks_the_left_half_of_an_arc_first():
     with pytest.raises(BoundaryZero) as ei:
         winding_number(fn, 1.0)
     assert ei.value.min_norm < 1.5e-12
+
+
+@pytest.mark.parametrize("n_start,value,k", [
+    (256, np.nan, 150),  # the first ring sample with y < -0.5
+    (5, np.nan, 3),
+    (2, np.nan, 1.5),    # the ring (0, pi) is finite; the midpoint 3 pi / 2 is not
+    (256, np.inf, 150),  # not a BoundaryZero of scale inf
+])
+def test_non_finite_map_names_its_first_angle_in_walk_order(n_start, value, k):
+    def fn(x, y):
+        return np.where(y < -0.5, value, x), y
+
+    theta = 2.0 * np.pi * k / n_start
+    with pytest.raises(ValueError, match=f"not finite at angle {theta!r}: "):
+        winding_number(fn, 1.0, n_start=n_start)

@@ -5,6 +5,7 @@ so exit codes, printed summaries, and output files are all checked without
 spawning subprocesses.
 """
 
+import gc
 import re
 from pathlib import Path
 
@@ -582,3 +583,23 @@ def test_shipped_problem_files(cmd, name, tmp_path, capsys):
     path = PROBLEMS_DIR / name
     assert path.is_file()
     assert main([cmd, str(path), "--out-dir", str(tmp_path)]) == EXIT_OK
+
+
+def test_main_reuses_one_parser_and_leaves_no_cyclic_garbage(tmp_path, capsys):
+    # a parser built per call left 166-218 objects of cyclic garbage behind
+    # it, so gen-0 collections came at call-dependent times
+    path = write(tmp_path, DIRICHLET_BENCH)
+    assert main(["degree", path]) == EXIT_BAD_INPUT  # not classic: rejected
+    assert cli.build_parser() is cli.build_parser()
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        gc.collect()
+        gc.garbage.clear()
+        for _ in range(3):
+            assert main(["degree", path]) == EXIT_BAD_INPUT
+        gc.collect()
+        assert gc.garbage == []
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()

@@ -1,0 +1,87 @@
+"""Executable reproducers of the open ROADMAP defects, one row each.
+
+Each row holds its ROADMAP item, its input and the outcome measured now,
+and asserts that outcome as it stands: a change that fixes a defect, or
+moves it, moves its row on purpose.  Item 15's row records its fix, the
+multiple-shooting oracle.
+"""
+
+import numpy as np
+import pytest
+
+from phibvp import (ProblemClass, ProblemSpec, make_homeomorphism, parse_expr,
+                    shooting_oracle, solve)
+from phibvp.certificates import check_growth, winding_number
+from phibvp.operators import AdmissibilityViolation
+
+
+def spec(cls, phi_args, f_src, T, **kw):
+    return ProblemSpec(cls, make_homeomorphism(*phi_args), parse_expr(f_src), T,
+                       **kw)
+
+
+def item_4_spike():
+    # at t = 0.0505, x = 0, |f| = 98 exceeds f*n + h = 4, but the 101
+    # t-samples step over the spike
+    cert = check_growth(make_homeomorphism("mean_curvature", 1.0),
+                        parse_expr("u - 2 + 100*exp(-((t-0.0505)*1e4)^2)"),
+                        parse_expr("4"), parse_expr("u"), parse_expr("1"), 0.1)
+    return cert.verdict.status
+
+
+def item_11_two_roots():
+    # both routes converge, to different solutions of a problem with three
+    s = spec(ProblemClass.THREEPOINT_CLASSIC, ("power", 4.0),
+             "u^3 - u + 0.1*sin(6*t)", 1.0, tol_fp=1e-13)
+    return round(float(np.max(np.abs(solve(s).solution.u - shooting_oracle(s).u))), 2)
+
+
+def item_13_tilted_solve():
+    # every lambda stage from 0.2 on stalls and hands off to Newton-Krylov
+    s = spec(ProblemClass.THREEPOINT_CLASSIC, ("power", 4.0),
+             "exp(v)/2 - 1 + (t - 0.5)/2", 1.0, tol_fp=1e-13)
+    return solve(s).iterations
+
+
+def item_15_large_gain():
+    # single shooting's 41 starts all left phi's range before T
+    gaps = []
+    for k in (20, 30, 40):
+        s = spec(ProblemClass.DIRICHLET_BOUNDED, ("mean_curvature", 1.0),
+                 f"{k}*u - 1", 1.0, tol_fp=1e-12)
+        gaps.append(float(np.max(np.abs(solve(s).solution.u - shooting_oracle(s).u))))
+    return max(gaps) <= 1e-4
+
+
+def item_5_a_half_guard():
+    # osc g < a would do; sup |g| < a/2 refuses a problem with a solution
+    s = spec(ProblemClass.DIRICHLET_BOUNDED, ("mean_curvature", 1.0), "10*u - 1",
+             1.0, tol_fp=1e-12)
+    try:
+        solve(s)
+    except AdmissibilityViolation:
+        return "AdmissibilityViolation"
+    return "solved"
+
+
+def item_7_nan_map():
+    try:
+        winding_number(lambda a, b: (np.where(a > 0, np.nan, a), b), 1.0)
+    except ValueError as exc:
+        return str(exc)
+
+
+REPRODUCERS = [
+    ("item 4", item_4_spike, "checked_on_grid"),
+    ("item 11", item_11_two_roots, 1.6),
+    ("item 13", item_13_tilted_solve, 930),
+    ("item 15", item_15_large_gain, True),  # was OracleFailure
+    ("item 5", item_5_a_half_guard, "AdmissibilityViolation"),
+    ("item 7", item_7_nan_map, "map_fn is not finite at angle 0.0: (nan, 0.0)"),
+]
+
+
+@pytest.mark.parametrize("item,reproduce,outcome", REPRODUCERS,
+                         ids=[row[0] for row in REPRODUCERS])
+def test_reproducer_outcome_as_it_stands(item, reproduce, outcome):
+    assert reproduce() == outcome

@@ -2,7 +2,7 @@
 diagnostics, and failure paths.
 
 The shooting oracle integrates the same ODE with RK4 plus root finding on
-the initial data, sharing no discretization machinery with the fixed-point
+the segment starts, sharing no discretization machinery with the fixed-point
 iteration, so sup-norm agreement between the two is a real check.
 """
 
@@ -23,7 +23,7 @@ from phibvp import (
 )
 from phibvp import solver
 from phibvp.expr import eval_many
-from phibvp.function_space import Grid, l1_norm
+from phibvp.function_space import Grid, l1_norm, zero_function
 from phibvp.homeomorphism import EPS_DOM, Kind
 from phibvp.operators import AdmissibilityViolation
 from phibvp.solver import MAX_ITER
@@ -382,9 +382,10 @@ def test_battery_class_invariants(cls, phi_args, f_src, T, res_cap, gap_cap):
 
 def _sweep_columns_alone(spec, grid, u0, w0):
     """RK4 batch of all initial states, and each state run by itself."""
-    U, W, bad = solver._rk4_batch(spec, grid, u0, w0)
+    U, W, bad = solver._rk4_batch(spec, grid, 0, grid.n - 1, u0, w0, keep=True)
     for j in range(len(u0)):
-        Uj, Wj, bj = solver._rk4_batch(spec, grid, u0[j:j + 1], w0[j:j + 1])
+        Uj, Wj, bj = solver._rk4_batch(spec, grid, 0, grid.n - 1, u0[j:j + 1],
+                                       w0[j:j + 1], keep=True)
         assert np.array_equal(U[:, j], Uj[:, 0], equal_nan=True)
         assert np.array_equal(W[:, j], Wj[:, 0], equal_nan=True)
         assert bad[j] == bj[0]
@@ -459,7 +460,7 @@ def reference_rk4_batch(spec, grid, u0, w0):
 
 def _assert_sweep_matches_reference(spec, u0, w0):
     grid = Grid(spec.T, spec.grid_n)
-    got = solver._rk4_batch(spec, grid, u0, w0)
+    got = solver._rk4_batch(spec, grid, 0, grid.n - 1, u0, w0, keep=True)
     # the reference overflows outside any errstate on a faulting forcing
     with np.errstate(all="ignore"):
         want = reference_rk4_batch(spec, grid, u0, w0)
@@ -505,40 +506,80 @@ def test_rk4_batch_flags_overflow_without_a_warning():
     # the sweep's own arithmetic overflows; tier-1 turns a RuntimeWarning
     # into an error, and a diverging trial trajectory is data
     spec = make_spec(C, ("identity",), "1.5e308", 1.0, grid_n=101)
-    U, W, bad = solver._rk4_batch(spec, Grid(1.0, 101), np.array([0.0, 1.0]),
-                                  np.array([0.0, 1.0]))
+    U, W, bad = solver._rk4_batch(spec, Grid(1.0, 101), 0, 100,
+                                  np.array([0.0, 1.0]), np.array([0.0, 1.0]),
+                                  keep=True)
     assert bad.all()
     assert np.isnan(U).all() and np.isnan(W).all()
 
 
-# RK4 sweeps on the requested grid per oracle call on each BATTERY family,
-# at the measured counts: the coarse root meets the tolerance there in the
-# polish's one sweep, or after one Newton step (singular-a)
-FINE_SWEEPS = [1, 1, 2, 1, 1, 1, 1]
+def test_rk4_batch_ends_are_each_columns_own_row():
+    # columns with their own start node and step count, as segments have:
+    # without keep the sweep returns each column's end, which is row
+    # steps[c] of its trajectory and the end of the column run alone
+    spec = make_spec(C, ("power", 4.0), "-v/2 + cos(t)/4", 1.0, grid_n=101)
+    grid = Grid(1.0, 101)
+    start = np.array([0, 0, 25, 50, 50])
+    steps = np.array([50, 49, 50, 50, 49])
+    u0 = np.array([0.1, -0.2, 0.3, 0.0, 1.0])
+    w0 = np.array([0.5, 0.0, -1.0, 2.0, 0.25])
+    U, W, bad = solver._rk4_batch(spec, grid, start, steps, u0, w0, keep=True)
+    u, w, b = solver._rk4_batch(spec, grid, start, steps, u0, w0)
+    cols = np.arange(len(u0))
+    assert U.shape == (51, 5) and u.shape == (5,)
+    assert np.array_equal(u, U[steps, cols]) and np.array_equal(w, W[steps, cols])
+    assert np.array_equal(b, bad) and not bad.any()
+    for c in cols:
+        uc, wc, _ = solver._rk4_batch(spec, grid, start[c:c + 1], steps[c],
+                                      u0[c:c + 1], w0[c:c + 1])
+        assert uc[0] == u[c] and wc[0] == w[c]
 
 
-@pytest.mark.parametrize("family,fine_sweeps", list(zip(BATTERY, FINE_SWEEPS)),
+@pytest.mark.parametrize("keep", [False, True])
+def test_rk4_batch_flags_a_column_by_its_own_steps_alone(keep):
+    # w' = -5 carries w0 = -0.7 out of the curvature range (-1, 1) after
+    # t = 0.06; a column that ends at t = 0.05 stays valid, though the
+    # sweep runs on to t = 0.1 for the other
+    spec = make_spec(D, ("mean_curvature", 1.0), "-5", 1.0, grid_n=101)
+    U, W, bad = solver._rk4_batch(spec, Grid(1.0, 101), 0, np.array([5, 10]),
+                                  np.zeros(2), np.full(2, -0.7), keep=keep)
+    assert bad.tolist() == [False, True]
+    end = W[5, 0] if keep else W[0]
+    assert abs(end + 0.95) <= 1e-12
+    assert np.isnan(W[..., 1]).all()
+
+
+# RK4 sweeps per oracle call on each BATTERY family, at the measured
+# counts: the candidate sweep, then one per damped Newton trial
+SWEEPS = [4, 4, 4, 4, 4, 6, 2]
+
+
+@pytest.mark.parametrize("family,sweeps", list(zip(BATTERY, SWEEPS)),
                          ids=BATTERY_IDS)
-def test_oracle_integrates_no_state_twice(monkeypatch, family, fine_sweeps):
+def test_oracle_integrates_no_state_twice(monkeypatch, family, sweeps):
     cls, phi_args, f_src, T, *_ = family
-    sweeps = []
+    recorded = []
     rk4 = solver._rk4_batch
 
-    def recording(spec, grid, u0, w0):
-        U, W, bad = rk4(spec, grid, u0, w0)
-        sweeps.append((grid.n, list(zip(u0.tolist(), w0.tolist())), U))
-        return U, W, bad
+    def recording(spec, grid, start, steps, u0, w0, keep=False):
+        out = rk4(spec, grid, start, steps, u0, w0, keep)
+        start = np.broadcast_to(start, u0.shape)
+        recorded.append((list(zip(start.tolist(), u0.tolist(), w0.tolist())),
+                         keep, out))
+        return out
 
     monkeypatch.setattr(solver, "_rk4_batch", recording)
     spec = make_spec(cls, phi_args, f_src, T)
     w = shooting_oracle(spec)
-    # the coarse root is integrated again on the fine grid, but no state
-    # twice on the same grid
-    states = [(n, s) for n, batch, _ in sweeps for s in batch]
+    states = [s for batch, _, _ in recorded for s in batch]
     assert len(set(states)) == len(states)
-    # the answer is the trajectory of one state, integrated exactly once
-    assert sum(np.array_equal(c, w.u) for _, _, U in sweeps for c in U.T) == 1
-    assert sum(n == spec.grid_n for n, _, _ in sweeps) == fine_sweeps
+    assert len(recorded) == sweeps
+    # the candidate sweep keeps only the segment ends; a one-point sweep
+    # keeps its trajectories, and the last one makes the answer
+    assert [keep for _, keep, _ in recorded] == [False] + [True] * (sweeps - 1)
+    U, W, _ = recorded[-1][2]
+    K = 10  # segments of 100 steps on the 1001-node grid
+    assert np.array_equal(w.u[:-1], U[:-1, :K].T.ravel()) and w.u[-1] == U[-1, K - 1]
     again = shooting_oracle(spec)
     assert np.array_equal(again.u, w.u) and np.array_equal(again.du, w.du)
 
@@ -546,64 +587,74 @@ def test_oracle_integrates_no_state_twice(monkeypatch, family, fine_sweeps):
 def test_oracle_gives_up_on_a_stalled_start(monkeypatch):
     # u'(T) = u'(0) needs the integral of t - 0.5 over [0, T] to vanish, so
     # no solution exists for T = 0.5; each Newton start must stop once its
-    # residual has not halved in 5 steps, not after 60 (2,986 sweeps), on
-    # the coarse grid and again in the fine search it falls back to
+    # residual has not halved in 5 steps, not after 60, and the search
+    # runs once, on the requested grid
     rk4 = solver._rk4_batch
     sweeps = []
 
-    def counting(spec, grid, *args):
+    def counting(spec, grid, *args, **kw):
         sweeps.append(grid.n)
-        return rk4(spec, grid, *args)
+        return rk4(spec, grid, *args, **kw)
 
     monkeypatch.setattr(solver, "_rk4_batch", counting)
     spec = make_spec(C, ("power", 4.0), "t - 0.5", 0.5, grid_n=201)
     with pytest.raises(OracleFailure):
         shooting_oracle(spec)
-    assert set(sweeps) == {solver._COARSE_N, 201}
-    assert sweeps.count(solver._COARSE_N) <= 200  # measured 180
-    assert sweeps.count(201) <= 200  # measured 180
+    assert sweeps == [201] * 49  # measured; 180 + 180 on two grids before
 
 
-def _fine_only_oracle(monkeypatch, spec):
-    """The oracle's search on the requested grid alone, from its starts."""
-    with monkeypatch.context() as m:
-        m.setattr(solver, "_COARSE_N", spec.grid_n)
-        return shooting_oracle(spec)
-
-
-@pytest.mark.parametrize("level", ["coarse", "polish"])
-def test_oracle_falls_back_to_the_fine_search(monkeypatch, level):
-    # a coarse search, or a polish, that fails leaves the answer to the
-    # search on the requested grid from the candidate starts, bit for bit
-    spec = make_spec(*BATTERY[2][:4])
-    want = _fine_only_oracle(monkeypatch, spec)
+def test_oracle_abandons_a_start_whose_jacobian_is_singular(monkeypatch):
+    # an FD step below the rounding of the unknowns leaves every neighbour
+    # where its point is: the Jacobian is exactly singular at each
+    # candidate, so no Newton step is tried and the oracle fails cleanly
     rk4 = solver._rk4_batch
-    fine_sweeps = []
+    sweeps = []
 
-    def failing(spec, grid, u0, w0):
-        U, W, bad = rk4(spec, grid, u0, w0)
-        if grid.n == spec.grid_n:
-            fine_sweeps.append(1)
-        if (level == "coarse" and grid.n == solver._COARSE_N
-                or level == "polish" and fine_sweeps == [1]):
-            bad[:] = True
-            U[:] = W[:] = np.nan
+    def counting(*args, **kw):
+        sweeps.append(1)
+        return rk4(*args, **kw)
+
+    monkeypatch.setattr(solver, "_rk4_batch", counting)
+    monkeypatch.setattr(solver, "_FD_STEP", 1e-300)
+    with pytest.raises(OracleFailure):
+        shooting_oracle(make_spec(*BATTERY[0][:4]))
+    assert len(sweeps) == 1
+
+
+def test_oracle_abandons_a_start_whose_trials_all_fail(monkeypatch):
+    # every one-point sweep comes back nan-filled, so each start halves
+    # alpha from 1 down to 2^-20, 21 trials, and then gives up
+    rk4 = solver._rk4_batch
+    sweeps = []
+
+    def failing(spec, grid, start, steps, u0, w0, keep=False):
+        U, W, bad = rk4(spec, grid, start, steps, u0, w0, keep)
+        sweeps.append(keep)
+        if keep:
+            U[:], W[:], bad[:] = np.nan, np.nan, True
         return U, W, bad
 
     monkeypatch.setattr(solver, "_rk4_batch", failing)
-    got = shooting_oracle(spec)
-    assert np.array_equal(got.u, want.u) and np.array_equal(got.du, want.du)
+    with pytest.raises(OracleFailure):
+        shooting_oracle(make_spec(*BATTERY[2][:4]))
+    assert sweeps == [False] + [True] * 21 * 5  # five singular-class starts
 
 
-@pytest.mark.parametrize("cls,phi_args,f_src,T,res_cap,gap_cap",
-                         BATTERY, ids=BATTERY_IDS)
-def test_two_level_oracle_agrees_with_the_fine_search(monkeypatch, cls, phi_args,
-                                                       f_src, T, res_cap, gap_cap):
-    spec = make_spec(cls, phi_args, f_src, T)
+@pytest.mark.parametrize("n", [3, 4, 102, 1000, 1002])
+@pytest.mark.parametrize("family", [BATTERY[1], BATTERY[3], BATTERY[5]],
+                         ids=[BATTERY_IDS[1], BATTERY_IDS[3], BATTERY_IDS[5]])
+def test_multiple_shooting_agrees_with_one_segment(monkeypatch, family, n):
+    # segments of unequal length where n - 1 is prime (1,000 nodes: 999
+    # steps in 10 segments) or not a multiple of their count (1,002 nodes:
+    # 1,001 steps in 11); one segment from the same root must agree
+    cls, phi_args, f_src, T, *_ = family
+    spec = make_spec(cls, phi_args, f_src, T, grid_n=n)
     w = shooting_oracle(spec)
-    fine = _fine_only_oracle(monkeypatch, spec)
-    assert np.max(np.abs(w.u - fine.u)) <= 1e-9  # measured up to 2.8e-11
-    assert np.max(np.abs(w.du - fine.du)) <= 1e-9
+    root = np.array([[w.u[0], float(spec.phi.forward(w.du[0]))]])
+    monkeypatch.setattr(solver, "_SEGMENT_STEPS", n - 1)
+    one = solver._shoot(spec, root)
+    assert np.max(np.abs(w.u - one.u)) <= 1e-9
+    assert np.max(np.abs(w.du - one.du)) <= 1e-9
 
 
 @pytest.mark.parametrize("k", [1.99, -1.99])
@@ -618,6 +669,24 @@ def test_oracle_shoots_near_the_edge_of_the_range(k):
 
 
 # ------------------------------------------------------------ diagnostics
+
+
+def test_picard_stage_stops_at_its_budget(monkeypatch):
+    # a stage that neither converges, stalls nor diverges ends at MAX_ITER
+    monkeypatch.setattr(solver, "MAX_ITER", 3)
+    spec = make_spec(D, ("mean_curvature", 1.0), "u - 2", 0.1, tol_fp=1e-13)
+    st = solver._picard_stage(spec, 1.0, zero_function(Grid(0.1, spec.grid_n)), True)
+    assert (st.reason, st.iterations, st.converged) == ("budget", 3, False)
+
+
+def test_report_of_an_iterate_where_the_forcing_faults():
+    # the report evaluates f itself; where f faults on the iterate it
+    # reports no margin and an infinite ODE residual instead of raising
+    spec = make_spec(D, ("mean_curvature", 1.0), "sqrt(u - 1)", 0.1)
+    w = zero_function(Grid(0.1, spec.grid_n))
+    report = solver._build_report(spec, w, [(1.0, 1)], "picard", 0.5, False)
+    assert report.omega_margin is None and report.ode_residual == np.inf
+    assert not report.converged
 
 
 def test_report_is_deterministic():
