@@ -16,9 +16,8 @@ from .operators import (AdmissibilityViolation, BoundedPreconditionError,
                         dirichlet_map, nemytskii, q_phi,
                         singular_threepoint_map)
 from .solver import (NonConvergence, OracleFailure, ProblemClass, ProblemSpec,
-                     SolveReport, apply_fixed_point_map, bc_residual,
-                     ode_residual, ode_residual_samples, omega_margin,
-                     shooting_oracle, solve)
+                     SolveReport, apply_fixed_point_map, ode_residual,
+                     ode_residual_samples, shooting_oracle, solve)
 
 __version__ = "0.1.0"
 
@@ -30,11 +29,11 @@ __all__ = [
     "OracleFailure", "ParseError", "ProblemClass", "ProblemSpec",
     "QphiResult", "SignCertificate", "SolveReport",
     "UnknownIdentifierError", "Verdict", "apply_fixed_point_map",
-    "bc_residual", "brouwer_degree", "check_growth", "check_signs",
+    "brouwer_degree", "check_growth", "check_signs",
     "classic_threepoint_map", "dirichlet_map",
     "eval_expr", "eval_many", "identity",
     "make_homeomorphism", "mean_curvature", "nemytskii", "newton_sign_sum",
-    "ode_residual", "ode_residual_samples", "omega_margin",
+    "ode_residual", "ode_residual_samples",
     "parse_expr", "parse_phi_config", "planar_map", "power", "q_phi",
     "relativistic", "shooting_oracle",
     "singular_threepoint_map", "solve", "variables",

@@ -398,9 +398,9 @@ def planar_map(f: Expr, T: float, a, b) -> tuple[np.ndarray, np.ndarray]:
             f"({pa!r}, {pb!r}), radius {math.hypot(pa, pb)!r}")
         err.index = i if a.ndim else None
         raise err from None
-    integ = _simpson(vals, T).reshape(a.shape)
     # as on Python floats: an overflow is inf, not a warning
     with np.errstate(all="ignore"):
+        integ = _simpson(vals, T).reshape(a.shape)
         g1 = a * T + b * T * T - b * T - integ / T
         g2 = b - a - b * T
     return g1, g2

@@ -276,7 +276,8 @@ def _compile(e: Expr, lenient: bool):
     guard("~np.isfinite(out)", "non-finite result")
     body = "".join(f"    {line}\n" for line in lines)
     exec(f"def kernel(t, u, v):\n{body}    return out\n", scope)
-    return scope["kernel"]
+    emit = None  # cycles (emit -> emit, kernel -> globals -> kernel) would be garbage
+    return scope.pop("kernel")
 
 
 def eval_expr(e: Expr, t: float, u: float, v: float) -> float:

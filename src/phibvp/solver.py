@@ -23,6 +23,9 @@ discretization: RK4 time stepping of the first-order system in
 candidate starts: every segment of every candidate takes one sweep of at
 most ``_SEGMENT_STEPS`` = 100 steps.  Tests compare the two routes; they
 share no discretization code.
+
+Each problem class is one ``_Rules`` record in ``_RULES``, the one place
+where this module tells the classes apart.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ import enum
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 import scipy.optimize
@@ -69,6 +73,8 @@ _STALL_FACTOR = 0.5
 _DIVERGENCE_CAP = 1e8
 # differences of past iterates an Anderson step mixes in
 _ANDERSON_DEPTH = 3
+_SHOOT_SCAN = 41
+_FD_STEP = 1e-6
 
 
 class ProblemClass(enum.Enum):
@@ -77,10 +83,41 @@ class ProblemClass(enum.Enum):
     THREEPOINT_CLASSIC = "threepoint_classic"
 
 
-_REQUIRED_KIND = {
-    ProblemClass.DIRICHLET_BOUNDED: Kind.BOUNDED,
-    ProblemClass.THREEPOINT_SINGULAR: Kind.SINGULAR,
-    ProblemClass.THREEPOINT_CLASSIC: Kind.CLASSIC,
+@dataclass(frozen=True)
+class _Rules:
+    """A class's phi kind, map(phi, f, w, lam), whether lambda is continued,
+    signed boundary residuals bc(u(0), u(T), u'(0), u'(T)) for the report and
+    the oracle, the first `pinned` of which fix a shooting unknown outright,
+    and the oracle's candidate starts(phi, T), each (u(0), phi(u'(0)))."""
+
+    kind: Kind
+    map: Callable[[Homeomorphism, Expr, GridFunction, float], GridFunction]
+    homotopy: bool
+    bc: Callable[..., list]
+    pinned: int
+    starts: Callable[[Homeomorphism, float], list[tuple[float, float]]]
+
+
+def _dirichlet_starts(phi: Homeomorphism, T: float) -> list[tuple[float, float]]:
+    # keeps the top candidate's FD neighbour w0 + _FD_STEP inside (-a, a)
+    margin = 1e-6 * phi.a + _FD_STEP
+    return [(0.0, w) for w in np.linspace(-phi.a + margin, phi.a - margin, _SHOOT_SCAN)]
+
+
+_RULES = {
+    ProblemClass.DIRICHLET_BOUNDED: _Rules(
+        Kind.BOUNDED, dirichlet_map, True,
+        lambda u0, uT, v0, vT: [u0, uT], 1, _dirichlet_starts),
+    ProblemClass.THREEPOINT_SINGULAR: _Rules(
+        Kind.SINGULAR, lambda phi, f, w, lam: singular_threepoint_map(phi, f, w), False,
+        lambda u0, uT, v0, vT: [uT - u0, vT - u0], 0,
+        lambda phi, T: [(c * phi.a, float(phi.forward(c * phi.a * 0.9)))
+                        for c in (0.0, 0.3, -0.3, 0.6, -0.6)]),
+    ProblemClass.THREEPOINT_CLASSIC: _Rules(
+        Kind.CLASSIC, classic_threepoint_map, True,
+        lambda u0, uT, v0, vT: [vT - v0, uT - v0], 0,
+        lambda phi, T: [(s * (1.0 - T), float(phi.forward(s)))
+                        for s in (0.5, -0.5, 0.0, 1.0, -1.0, 2.0, -2.0, 0.25, -0.25)]),
 }
 
 
@@ -98,7 +135,7 @@ class ProblemSpec:
     lambda_step: float = 0.1
 
     def __post_init__(self) -> None:
-        need = _REQUIRED_KIND[self.problem]
+        need = _RULES[self.problem].kind
         if self.phi.kind is not need:
             raise ValueError(
                 f"{self.problem.value} needs a {need.value} homeomorphism, "
@@ -122,7 +159,7 @@ class SolveReport:
     fp_residual is the integral norm of u - M(u) at the final iterate
     (undamped map gap, not the damped step size); ode_residual the sup of
     the centered-difference defect over interior nodes; omega_margin the
-    slack of the bounded-class admissibility bound, None elsewhere.
+    slack of the admissibility bound where phi is bounded, None elsewhere.
     """
 
     solution: GridFunction
@@ -169,11 +206,7 @@ class OracleFailure(Exception):
 
 def apply_fixed_point_map(spec: ProblemSpec, w: GridFunction,
                           lam: float = 1.0) -> GridFunction:
-    if spec.problem is ProblemClass.DIRICHLET_BOUNDED:
-        return dirichlet_map(spec.phi, spec.f, w, lam)
-    if spec.problem is ProblemClass.THREEPOINT_SINGULAR:
-        return singular_threepoint_map(spec.phi, spec.f, w)
-    return classic_threepoint_map(spec.phi, spec.f, w, lam)
+    return _RULES[spec.problem].map(spec.phi, spec.f, w, lam)
 
 
 def _fp_gap(spec: ProblemSpec, w: GridFunction,
@@ -313,38 +346,19 @@ def ode_residual(phi: Homeomorphism, f: Expr, w: GridFunction) -> float:
     return float(np.max(np.abs(ode_residual_samples(phi, f, w)[1:-1])))
 
 
-def bc_residual(problem: ProblemClass, w: GridFunction) -> float:
-    u0 = float(w.u[0])
-    uT = float(w.u[-1])
-    du0 = float(w.du[0])
-    duT = float(w.du[-1])
-    if problem is ProblemClass.DIRICHLET_BOUNDED:
-        return max(abs(u0), abs(uT))
-    if problem is ProblemClass.THREEPOINT_SINGULAR:
-        return max(abs(uT - u0), abs(duT - u0))
-    return max(abs(uT - du0), abs(duT - du0))
-
-
-def omega_margin(spec: ProblemSpec, w: GridFunction) -> float | None:
-    """a/2 minus the sup-norm of the Dirichlet map's inner integral at
-    lam = 1; None for the other classes."""
-    if spec.problem is not ProblemClass.DIRICHLET_BOUNDED:
-        return None
-    g = cumulative_integral_from_0(w.grid, nemytskii(spec.f, w))
-    return spec.phi.a / 2.0 - sup_norm(g)
-
-
 def _build_report(spec: ProblemSpec, u: GridFunction, path: list[tuple[float, int]],
                   method: str, fp_res: float, fp_ok: bool) -> SolveReport:
+    margin, ode_res = None, np.inf
     try:
-        margin = omega_margin(spec, u)
-    except EvalDomainError:
-        margin = None
-    try:
+        if spec.phi.kind is Kind.BOUNDED:
+            g = cumulative_integral_from_0(u.grid, nemytskii(spec.f, u))
+            margin = spec.phi.a / 2.0 - sup_norm(g)
         ode_res = ode_residual(spec.phi, spec.f, u)
     except EvalDomainError:
-        ode_res = np.inf
-    bc_res = bc_residual(spec.problem, u)
+        pass
+    bc = _RULES[spec.problem].bc(float(u.u[0]), float(u.u[-1]),
+                                 float(u.du[0]), float(u.du[-1]))
+    bc_res = max(abs(r) for r in bc)
     return SolveReport(
         solution=u,
         converged=fp_ok and bc_res <= BC_RESIDUAL_TOL,
@@ -372,7 +386,8 @@ def solve(spec: ProblemSpec) -> SolveReport:
 
     One continuation loop: a stage at each lambda = k * lambda_step up to
     1, the step halved where a stage leaves the Dirichlet map's admissible
-    set.  The singular map takes no lambda: its step is 1, one stage.
+    set.  A class without homotopy (the singular one) takes a step of 1:
+    one stage.
 
     Raises NonConvergence (with the diagnostic report attached) when a
     stage converges neither by iteration nor by Newton-Krylov, or diverges
@@ -387,8 +402,8 @@ def solve(spec: ProblemSpec) -> SolveReport:
     # exact rational arithmetic on the step as written, so that lambda is
     # k * step rounded once (0.3, not 0.30000000000000004), halving stays
     # exact and the last stage is exactly 1
-    lam_step = Fraction(1 if spec.problem is ProblemClass.THREEPOINT_SINGULAR
-                        else str(float(spec.lambda_step)))
+    lam_step = Fraction(str(float(spec.lambda_step))
+                        if _RULES[spec.problem].homotopy else 1)
     lam_done = Fraction(0)
     while lam_done < 1:
         lam = float(min(1, lam_done + lam_step))
@@ -433,8 +448,6 @@ def solve(spec: ProblemSpec) -> SolveReport:
 
 # ------------------------------------------------------------------ shooting
 
-_SHOOT_SCAN = 41
-_FD_STEP = 1e-6
 _NEWTON_STEPS = 60
 _NEWTON_STALL_STEPS = 5
 # the most RK4 steps a shooting segment takes
@@ -510,12 +523,12 @@ def _shoot(spec: ProblemSpec, starts: np.ndarray) -> GridFunction:
 
     [0, T] splits at grid nodes into K = ceil((n - 1) / _SEGMENT_STEPS)
     segments, the last the longest by at most one step.  The unknowns are
-    the segment starts (u, w) but the Dirichlet u(0) = 0; the residuals
-    are the continuity gaps, then u(T) (Dirichlet), (u'(T) - u'(0), u(T) -
-    u'(0)) (classic) or (u(T) - u(0), u'(T) - u(0)) (singular).  Later
-    segments start flat: w = w(0), u = u(0) + phi^{-1}(w(0)) t.  An end
-    depends on its own segment's start alone, so one FD neighbour (step
-    1e-6) per unknown gives the Jacobian, all points in one sweep.  A trial
+    the segment starts (u, w) less the leading ones the class pins (the
+    Dirichlet u(0) = 0); the residuals are the continuity gaps, then the
+    class's unpinned boundary residuals.  Later segments start flat: w =
+    w(0), u = u(0) + phi^{-1}(w(0)) t.  An end depends on its own
+    segment's start alone, so one FD neighbour (step 1e-6) per unknown
+    gives the Jacobian, all points in one sweep.  A trial
     is accepted when it shrinks the natural level |J^{-1} R|, the Newton
     step (max |R| stalls once many small gaps weigh as much as the boundary
     residual); a start whose step has not halved in _NEWTON_STALL_STEPS
@@ -523,10 +536,10 @@ def _shoot(spec: ProblemSpec, starts: np.ndarray) -> GridFunction:
     """
     grid = Grid(spec.T, spec.grid_n)
     inverse = spec.phi.inverse
+    rules = _RULES[spec.problem]
     K = -(-(grid.n - 1) // _SEGMENT_STEPS)
     bounds = np.arange(K + 1) * (grid.n - 1) // K
-    first = int(spec.problem is ProblemClass.DIRICHLET_BOUNDED)
-    free = np.arange(first, 2 * K)
+    free = np.arange(rules.pinned, 2 * K)
     # a point's columns: its K segments, then one FD neighbour per unknown
     seg = np.concatenate([np.arange(K), free // 2])
     offsets = np.zeros((len(seg), 2))
@@ -540,9 +553,7 @@ def _shoot(spec: ProblemSpec, starts: np.ndarray) -> GridFunction:
         with np.errstate(all="ignore"):
             v0 = np.asarray(inverse(S[..., 0, 1]), dtype=float)
             vT = np.asarray(inverse(E[..., -1, 1]), dtype=float)
-        bc = ([uT] if first else [vT - v0, uT - v0]
-              if spec.problem is ProblemClass.THREEPOINT_CLASSIC
-              else [uT - u0, vT - u0])
+        bc = rules.bc(u0, uT, v0, vT)[rules.pinned:]
         return np.concatenate([gaps, np.stack(bc, axis=-1)], axis=-1)
 
     def sweep(Z: np.ndarray) -> tuple:
@@ -575,7 +586,7 @@ def _shoot(spec: ProblemSpec, starts: np.ndarray) -> GridFunction:
     score = np.where(np.isfinite(E).all(axis=(1, 2)), np.max(np.abs(R), axis=1), np.nan)
     order = [j for j in np.argsort(score, kind="stable") if np.isfinite(score[j])]
     for j in order:
-        if converged(Z[j].ravel()[first:], R[j]):
+        if converged(Z[j].ravel()[rules.pinned:], R[j]):
             return answer(traj or sweep(Z[j][None])[3])
 
     for j in order:
@@ -599,7 +610,7 @@ def _shoot(spec: ProblemSpec, starts: np.ndarray) -> GridFunction:
             alpha = 1.0
             while alpha >= 2.0 ** -20:
                 trial = z.copy()
-                trial.ravel()[first:] += alpha * step
+                trial.ravel()[rules.pinned:] += alpha * step
                 Xt, Et, Rt, traj = sweep(trial[None])
                 if (np.isfinite(Et).all()
                         and np.max(np.abs(np.linalg.solve(J, Rt[0]))) < level):
@@ -608,7 +619,7 @@ def _shoot(spec: ProblemSpec, starts: np.ndarray) -> GridFunction:
             else:  # no trial improved on z
                 break
             z, x, e, r = trial, Xt[0], Et[0], Rt[0]
-            if converged(z.ravel()[first:], r):
+            if converged(z.ravel()[rules.pinned:], r):
                 return answer(traj)
     raise OracleFailure("no Newton start converged in the shooting oracle")
 
@@ -620,16 +631,5 @@ def shooting_oracle(spec: ProblemSpec) -> GridFunction:
     discretization family, different unknowns.  Intended for
     cross-validation, not as the primary solver.
     """
-    phi = spec.phi
-    if spec.problem is ProblemClass.DIRICHLET_BOUNDED:
-        # keeps the top candidate's FD neighbour w0 + _FD_STEP inside (-a, a)
-        margin = 1e-6 * phi.a + _FD_STEP
-        starts = [(0.0, w) for w in np.linspace(-phi.a + margin, phi.a - margin,
-                                                  _SHOOT_SCAN)]
-    elif spec.problem is ProblemClass.THREEPOINT_CLASSIC:
-        slopes = (0.5, -0.5, 0.0, 1.0, -1.0, 2.0, -2.0, 0.25, -0.25)
-        starts = [(s * (1.0 - spec.T), float(phi.forward(s))) for s in slopes]
-    else:
-        levels = (0.0, 0.3, -0.3, 0.6, -0.6)
-        starts = [(c * phi.a, float(phi.forward(c * phi.a * 0.9))) for c in levels]
+    starts = _RULES[spec.problem].starts(spec.phi, spec.T)
     return _shoot(spec, np.array(starts, dtype=float))

@@ -335,6 +335,25 @@ def test_battery_needs_no_newton_stage(cls, phi_args, f_src, T, res_cap, gap_cap
     assert solve(spec).method == "picard"
 
 
+# README's class table, one signed residual per condition
+README_BC = {
+    D: lambda w: [w.u[0], w.u[-1]],  # u(0) = u(T) = 0
+    S: lambda w: [w.u[-1] - w.u[0], w.du[-1] - w.u[0]],  # u(T) = u(0) = u'(T)
+    C: lambda w: [w.u[-1] - w.du[0], w.du[-1] - w.du[0]],  # u(T) = u'(0) = u'(T)
+}
+
+
+@pytest.mark.parametrize("family", [BATTERY[0], BATTERY[2], BATTERY[6]],
+                         ids=[BATTERY_IDS[0], BATTERY_IDS[2], BATTERY_IDS[6]])
+def test_both_routes_meet_the_readme_boundary_conditions(family):
+    cls, phi_args, f_src, T, *_ = family
+    spec = make_spec(cls, phi_args, f_src, T)
+    report = solve(spec)
+    assert report.bc_residual == max(abs(float(r)) for r in README_BC[cls](report.solution))
+    oracle = shooting_oracle(spec)
+    assert max(abs(float(r)) for r in README_BC[cls](oracle)) <= solver.BC_RESIDUAL_TOL
+
+
 # Picard map applications per solve on each BATTERY family at tol_fp 1e-13,
 # at the measured counts of the Anderson-mixed stages (damped Picard alone
 # took 40, 54, 31, 17, 17, 724 and 776)
@@ -731,13 +750,22 @@ def test_lambda_path_ends_with_its_first_stage_at_one():
     assert [lam for lam, _ in report.lambda_path] == [1.0]
 
 
-def test_problem_class_requires_matching_phi():
-    with pytest.raises(ValueError):
-        make_spec(D, ("power", 4.0), "u - 2", 0.1)
-    with pytest.raises(ValueError):
-        make_spec(S, ("mean_curvature", 1.0), "1", 1.0)
-    with pytest.raises(ValueError):
-        make_spec(C, ("relativistic", 1.0), "0", 1.0)
+PHI_OF_KIND = {Kind.BOUNDED: ("mean_curvature", 1.0),
+               Kind.SINGULAR: ("relativistic", 1.0),
+               Kind.CLASSIC: ("power", 4.0)}
+NEEDED_KIND = {D: Kind.BOUNDED, S: Kind.SINGULAR, C: Kind.CLASSIC}
+WRONG_PAIRS = [(cls, kind) for cls in NEEDED_KIND for kind in PHI_OF_KIND
+               if kind is not NEEDED_KIND[cls]]
+
+
+@pytest.mark.parametrize("cls,kind", WRONG_PAIRS,
+                         ids=["%s-%s" % (c.value, k.value) for c, k in WRONG_PAIRS])
+def test_every_class_rejects_every_other_kind(cls, kind):
+    phi_args = PHI_OF_KIND[kind]
+    with pytest.raises(ValueError) as err:
+        make_spec(cls, phi_args, "0", 1.0)
+    assert str(err.value) == (f"{cls.value} needs a {NEEDED_KIND[cls].value} "
+                              f"homeomorphism, got {phi_args[0]} ({kind.value})")
 
 
 def test_problem_spec_validation():
