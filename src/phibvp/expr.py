@@ -216,6 +216,12 @@ _KERNEL_CACHE_SIZE = 256
 _KERNELS: dict = {}  # (id(e), lenient) -> (weak reference to e, kernel)
 
 
+def _drop(key: tuple, ref: weakref.ref) -> None:
+    """ref's callback: once e dies, pop its entry if the entry still holds ref."""
+    if _KERNELS.get(key, (None,))[0] is ref:
+        _KERNELS.pop(key)
+
+
 def _fault(message: str, mask, t, u, v) -> EvalDomainError:
     """The fault at mask's first true sample, indexed into the broadcast
     shape of (t, u, v)."""
@@ -290,14 +296,16 @@ def kernel(e: Expr, lenient: bool = False):
     float arrays (t, u, v), must run under ``np.errstate(all="ignore")``,
     and returns an array that may be smaller than their broadcast shape
     (0-d when every variable e uses is 0-d)."""
-    # keyed on identity: the dataclass hash walks the whole tree, and the
-    # weak reference tells e from a dead node whose id it reuses
+    # keyed on identity: the dataclass hash walks the whole tree; the weak
+    # reference drops e's entry once e dies and tells e from a dead node
+    # whose id it reuses
     key = (id(e), lenient)
     hit = _KERNELS.get(key)
     if hit is None or hit[0]() is not e:
         if len(_KERNELS) >= _KERNEL_CACHE_SIZE:
             _KERNELS.pop(next(iter(_KERNELS)), None)  # the oldest
-        hit = _KERNELS[key] = (weakref.ref(e), _compile(e, lenient))
+        hit = _KERNELS[key] = (weakref.ref(e, lambda ref: _drop(key, ref)),
+                               _compile(e, lenient))
     return hit[1]
 
 

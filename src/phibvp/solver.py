@@ -20,9 +20,9 @@ without one: its iterate is not near a fixed point.
 ``shooting_oracle`` solves the same problem by a genuinely different
 discretization: RK4 time stepping of the first-order system in
 (u, phi(u')), by multiple shooting from the best of a fixed list of
-candidate starts: every segment of every candidate takes one sweep of at
-most ``_SEGMENT_STEPS`` = 100 steps.  Tests compare the two routes; they
-share no discretization code.
+candidate starts: segments of at most ``_SEGMENT_STEPS`` = 10 steps,
+every candidate's in one sweep, and a sparse Newton solve for their
+starts.  Tests compare the two routes; they share no discretization code.
 
 Each problem class is one ``_Rules`` record in ``_RULES``, the one place
 where this module tells the classes apart.
@@ -38,6 +38,7 @@ from typing import Callable
 
 import numpy as np
 import scipy.optimize
+import scipy.sparse.linalg
 
 # eval_many is unused here, but bench/tracing.py patches this name
 from .expr import EvalDomainError, Expr, eval_many, kernel  # noqa: F401
@@ -451,7 +452,7 @@ def solve(spec: ProblemSpec) -> SolveReport:
 _NEWTON_STEPS = 60
 _NEWTON_STALL_STEPS = 5
 # the most RK4 steps a shooting segment takes
-_SEGMENT_STEPS = 100
+_SEGMENT_STEPS = 10
 
 
 def _rk4_batch(spec: ProblemSpec, grid: Grid, start: int | np.ndarray,
@@ -516,6 +517,44 @@ def _rk4_batch(spec: ProblemSpec, grid: Grid, start: int | np.ndarray,
     return out[..., 0, :], out[..., 1, :], bad
 
 
+def _residual(rules: _Rules, inverse: Callable, S: np.ndarray,
+              E: np.ndarray) -> np.ndarray:
+    """Shooting residuals from segment starts S and ends E, both (..., K, 2):
+    the continuity gaps, then the class's unpinned boundary residuals."""
+    gaps = (E[..., :-1, :] - S[..., 1:, :]).reshape(*S.shape[:-2], -1)
+    u0, uT = S[..., 0, 0], E[..., -1, 0]
+    with np.errstate(all="ignore"):
+        v0 = np.asarray(inverse(S[..., 0, 1]), dtype=float)
+        vT = np.asarray(inverse(E[..., -1, 1]), dtype=float)
+    bc = rules.bc(u0, uT, v0, vT)[rules.pinned:]
+    return np.concatenate([gaps, np.stack(bc, axis=-1)], axis=-1)
+
+
+def _jacobian(rules: _Rules, inverse: Callable, x: np.ndarray, e: np.ndarray,
+              r: np.ndarray) -> scipy.sparse.csc_matrix:
+    """The FD Jacobian of _residual at the point with residual r, segment
+    starts x[:K] and ends e[:K], assembled from its blocks in O(K): x[K + i]
+    moves unknown i, of segment s, by _FD_STEP and ends at e[K + i].  The
+    column holds the change of s's end in s's two gap rows, the change of
+    its own start (-1 up to rounding) in a gap row of s - 1 and, for the
+    first and last segments alone, the change of the boundary rows; each
+    entry is the one the FD difference of the whole residual gives."""
+    K = (len(r) + rules.pinned) // 2
+    free = np.arange(rules.pinned, 2 * K)
+    s, col, xn, en = free // 2, np.arange(len(free)), x[K:], e[K:]
+    own, prev, edge = s < K - 1, s > 0, (s == 0) | (s == K - 1)
+    # the boundary rows are those of one segment from x[0] to e[K - 1]
+    S0 = np.where((s[edge] == 0)[:, None], xn[edge], x[0])
+    EK = np.where((s[edge] == K - 1)[:, None], en[edge], e[K - 1])
+    bc = _residual(rules, inverse, S0[:, None], EK[:, None]) - r[2 * K - 2:]
+    vals = [en[own] - e[s[own]], (x[s[prev]] - xn[prev]).sum(axis=1), bc]
+    rows = [(2 * s[own])[:, None] + [0, 1], free[prev] - 2,
+            np.broadcast_to(np.arange(2 * K - 2, len(r)), bc.shape)]
+    cols = [np.repeat(col[own], 2), col[prev], np.repeat(col[edge], bc.shape[1])]
+    v, i, j = (np.concatenate([a.ravel() for a in p]) for p in (vals, rows, cols))
+    return scipy.sparse.csc_matrix((v / _FD_STEP, (i, j)), shape=(len(r), len(r)))
+
+
 def _shoot(spec: ProblemSpec, starts: np.ndarray) -> GridFunction:
     """Multiple shooting (Stoer & Bulirsch, Introduction to Numerical
     Analysis, 7.3.5) by damped Newton from the starts (u(0), w(0)), in
@@ -524,15 +563,16 @@ def _shoot(spec: ProblemSpec, starts: np.ndarray) -> GridFunction:
     [0, T] splits at grid nodes into K = ceil((n - 1) / _SEGMENT_STEPS)
     segments, the last the longest by at most one step.  The unknowns are
     the segment starts (u, w) less the leading ones the class pins (the
-    Dirichlet u(0) = 0); the residuals are the continuity gaps, then the
-    class's unpinned boundary residuals.  Later segments start flat: w =
-    w(0), u = u(0) + phi^{-1}(w(0)) t.  An end depends on its own
-    segment's start alone, so one FD neighbour (step 1e-6) per unknown
-    gives the Jacobian, all points in one sweep.  A trial
-    is accepted when it shrinks the natural level |J^{-1} R|, the Newton
-    step (max |R| stalls once many small gaps weigh as much as the boundary
+    Dirichlet u(0) = 0), and R is _residual.  Later segments start flat:
+    w = w(0), u = u(0) + phi^{-1}(w(0)) t.  One sweep integrates every
+    candidate's segments, one more a Newton start's FD neighbours (step
+    1e-6), and each trial sweeps its segments with their neighbours.  The
+    sparse J (_jacobian) is factored once per Newton step.  A trial is
+    accepted when it shrinks the natural level |J^{-1} R|, the Newton step
+    (max |R| stalls once many small gaps weigh as much as the boundary
     residual); a start whose step has not halved in _NEWTON_STALL_STEPS
-    steps is abandoned.  Only a one-point sweep keeps its trajectories.
+    steps, or whose J is singular, is abandoned.  Only one-point sweeps of
+    a point's segments keep their trajectories.
     """
     grid = Grid(spec.T, spec.grid_n)
     inverse = spec.phi.inverse
@@ -546,27 +586,18 @@ def _shoot(spec: ProblemSpec, starts: np.ndarray) -> GridFunction:
     offsets[np.arange(K, len(seg)), free % 2] = _FD_STEP
     lengths = np.diff(bounds)[seg]
 
-    def residual(S: np.ndarray, E: np.ndarray) -> np.ndarray:
-        """R from segment starts S and ends E, both (..., K, 2)."""
-        gaps = (E[..., :-1, :] - S[..., 1:, :]).reshape(*S.shape[:-2], -1)
-        u0, uT = S[..., 0, 0], E[..., -1, 0]
-        with np.errstate(all="ignore"):
-            v0 = np.asarray(inverse(S[..., 0, 1]), dtype=float)
-            vT = np.asarray(inverse(E[..., -1, 1]), dtype=float)
-        bc = rules.bc(u0, uT, v0, vT)[rules.pinned:]
-        return np.concatenate([gaps, np.stack(bc, axis=-1)], axis=-1)
-
-    def sweep(Z: np.ndarray) -> tuple:
-        """Starts, ends, residuals and (one point only) trajectories of Z."""
-        X = Z[:, seg] + offsets
-        U, W, _ = _rk4_batch(spec, grid, np.tile(bounds[seg], len(Z)),
-                             np.tile(lengths, len(Z)), X[..., 0].ravel(),
-                             X[..., 1].ravel(), keep=len(Z) == 1)
-        traj = (U, W) if len(Z) == 1 else None
-        if traj:
-            U, W = U[lengths, np.arange(len(seg))], W[lengths, np.arange(len(seg))]
-        E = np.stack([U, W], axis=-1).reshape(X.shape)
-        return X, E, residual(X[:, :K], E[:, :K]), traj
+    def sweep(Z: np.ndarray, cols: slice, keep: bool = False) -> tuple:
+        """Starts, ends and (with keep, one point only) trajectories of the
+        columns cols of each point in Z."""
+        X = Z[:, seg[cols]] + offsets[cols]
+        steps = lengths[cols]
+        U, W, _ = _rk4_batch(spec, grid, np.tile(bounds[seg[cols]], len(Z)),
+                             np.tile(steps, len(Z)), X[..., 0].ravel(),
+                             X[..., 1].ravel(), keep)
+        traj = (U, W) if keep else None
+        if keep:
+            U, W = U[steps, np.arange(len(steps))], W[steps, np.arange(len(steps))]
+        return X, np.stack([U, W], axis=-1).reshape(X.shape), traj
 
     def converged(z: np.ndarray, r: np.ndarray) -> bool:
         return float(np.max(np.abs(r))) <= 1e-11 * (1.0 + float(np.max(np.abs(z))))
@@ -582,26 +613,24 @@ def _shoot(spec: ProblemSpec, starts: np.ndarray) -> GridFunction:
     v0 = np.asarray(inverse(starts[:, 1:]), dtype=float)
     Z = np.stack([starts[:, :1] + v0 * grid.nodes[bounds[:-1]],
                   np.repeat(starts[:, 1:], K, axis=1)], axis=-1)
-    X, E, R, traj = sweep(Z)
+    X, E, traj = sweep(Z, slice(K), keep=len(Z) == 1)
+    R = _residual(rules, inverse, X, E)
     score = np.where(np.isfinite(E).all(axis=(1, 2)), np.max(np.abs(R), axis=1), np.nan)
     order = [j for j in np.argsort(score, kind="stable") if np.isfinite(score[j])]
     for j in order:
         if converged(Z[j].ravel()[rules.pinned:], R[j]):
-            return answer(traj or sweep(Z[j][None])[3])
+            return answer(traj or sweep(Z[j][None], slice(K), True)[2])
 
     for j in order:
-        z, x, e, r = Z[j], X[j], E[j], R[j]
+        Xn, En, _ = sweep(Z[j][None], slice(K, None))
+        z, x, e, r = Z[j], np.vstack([X[j], Xn[0]]), np.vstack([E[j], En[0]]), R[j]
         mark, mark_k = np.inf, 0
         for k in range(_NEWTON_STEPS):
-            # a neighbour moves one segment's start, and so that end alone
-            S, ends = np.repeat(np.stack([x[:K], e[:K]])[:, None], len(free), axis=1)
-            S[np.arange(len(free)), free // 2] = x[K:]
-            ends[np.arange(len(free)), free // 2] = e[K:]
-            J = (residual(S, ends) - r).T / _FD_STEP
             try:
-                step = np.linalg.solve(J, -r)
-            except np.linalg.LinAlgError:
+                lu = scipy.sparse.linalg.splu(_jacobian(rules, inverse, x, e, r))
+            except RuntimeError:  # exactly singular, or not finite
                 break
+            step = lu.solve(-r)
             level = float(np.max(np.abs(step)))
             if level <= _STALL_FACTOR * mark:
                 mark, mark_k = level, k
@@ -611,9 +640,10 @@ def _shoot(spec: ProblemSpec, starts: np.ndarray) -> GridFunction:
             while alpha >= 2.0 ** -20:
                 trial = z.copy()
                 trial.ravel()[rules.pinned:] += alpha * step
-                Xt, Et, Rt, traj = sweep(trial[None])
+                Xt, Et, traj = sweep(trial[None], slice(None), True)
+                Rt = _residual(rules, inverse, Xt[:, :K], Et[:, :K])
                 if (np.isfinite(Et).all()
-                        and np.max(np.abs(np.linalg.solve(J, Rt[0]))) < level):
+                        and np.max(np.abs(lu.solve(Rt[0]))) < level):
                     break
                 alpha /= 2.0
             else:  # no trial improved on z

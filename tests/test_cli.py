@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from phibvp import (BoundaryZero, ProblemClass, ProblemSpec, cli,
+from phibvp import (BoundaryZero, ProblemClass, ProblemSpec, cli, expr,
                     make_homeomorphism, parse_expr, shooting_oracle, solve)
 from phibvp.cli import (
     EXIT_BAD_INPUT,
@@ -641,3 +641,14 @@ def test_main_reuses_one_parser_and_leaves_no_cyclic_garbage(tmp_path, capsys):
     finally:
         gc.set_debug(0)
         gc.garbage.clear()
+
+
+def test_kernel_cache_keeps_no_dead_expression(tmp_path):
+    # each check call parses its own forcing and profiles; a dead
+    # expression's kernel once stayed cached until 256 newer compiles
+    # evicted it (these five calls left 9 such entries)
+    argv = ["check", str(PROBLEMS_DIR / "classic_cubic.txt"), "--out-dir", str(tmp_path)]
+    for _ in range(5):
+        assert main(argv) == EXIT_OK
+        gc.collect()
+        assert all(ref() is not None for ref, _ in expr._KERNELS.values())

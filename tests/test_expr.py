@@ -1,5 +1,6 @@
 import math
 import re
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -389,6 +390,31 @@ def test_reused_id_never_gets_a_stale_kernel(compiles):
     assert len(ids) < n  # some ids were reused
     assert len(compiles) == n
 
+
+
+def test_a_dead_expression_takes_its_kernels_with_it():
+    e = parse_expr("u + 41")
+    eval_many(e, 0.0, 1.0, 0.0)
+    eval_many(e, 0.0, 1.0, 0.0, lenient=True)
+    keys = [(id(e), False), (id(e), True)]
+    assert all(key in expr_module._KERNELS for key in keys)
+    del e
+    assert not any(key in expr_module._KERNELS for key in keys)
+
+
+def test_a_dead_expression_leaves_a_newer_entry_under_its_key():
+    # the callback pops the entry only while it still holds the reference
+    # to the expression that died
+    e, other = parse_expr("u + 42"), parse_expr("u + 43")
+    eval_many(e, 0.0, 1.0, 0.0)
+    key = (id(e), False)
+    newer = (weakref.ref(other), expr_module.kernel(other))
+    expr_module._KERNELS[key] = newer
+    try:
+        del e
+        assert expr_module._KERNELS[key] is newer
+    finally:
+        expr_module._KERNELS.pop(key, None)
 
 def test_lenient_kernel_does_not_stand_in_for_strict():
     e = parse_expr("log(u)")

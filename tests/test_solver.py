@@ -7,6 +7,7 @@ iteration, so sup-norm agreement between the two is a real check.
 """
 
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -569,8 +570,10 @@ def test_rk4_batch_flags_a_column_by_its_own_steps_alone(keep):
 
 
 # RK4 sweeps per oracle call on each BATTERY family, at the measured
-# counts: the candidate sweep, then one per damped Newton trial
-SWEEPS = [4, 4, 4, 4, 4, 6, 2]
+# counts: the candidate sweep, the best start's FD neighbours, then one per
+# damped Newton trial ([4, 4, 4, 4, 4, 6, 2] with segments of 100 steps,
+# whose candidate sweep took every neighbour too)
+SWEEPS = [4, 4, 5, 5, 5, 7, 3]
 
 
 @pytest.mark.parametrize("family,sweeps", list(zip(BATTERY, SWEEPS)),
@@ -593,11 +596,11 @@ def test_oracle_integrates_no_state_twice(monkeypatch, family, sweeps):
     states = [s for batch, _, _ in recorded for s in batch]
     assert len(set(states)) == len(states)
     assert len(recorded) == sweeps
-    # the candidate sweep keeps only the segment ends; a one-point sweep
-    # keeps its trajectories, and the last one makes the answer
-    assert [keep for _, keep, _ in recorded] == [False] + [True] * (sweeps - 1)
+    # the candidate and neighbour sweeps keep only the segment ends; a
+    # trial keeps its trajectories, and the last one makes the answer
+    assert [keep for _, keep, _ in recorded] == [False] * 2 + [True] * (sweeps - 2)
     U, W, _ = recorded[-1][2]
-    K = 10  # segments of 100 steps on the 1001-node grid
+    K = 1000 // solver._SEGMENT_STEPS  # equal segments on the 1001-node grid
     assert np.array_equal(w.u[:-1], U[:-1, :K].T.ravel()) and w.u[-1] == U[-1, K - 1]
     again = shooting_oracle(spec)
     assert np.array_equal(again.u, w.u) and np.array_equal(again.du, w.du)
@@ -619,30 +622,36 @@ def test_oracle_gives_up_on_a_stalled_start(monkeypatch):
     spec = make_spec(C, ("power", 4.0), "t - 0.5", 0.5, grid_n=201)
     with pytest.raises(OracleFailure):
         shooting_oracle(spec)
-    assert sweeps == [201] * 49  # measured; 180 + 180 on two grids before
+    # measured; 49 with 2 segments of 100 steps, 180 + 180 on two grids
+    # before that
+    assert sweeps == [201] * 53
 
 
 def test_oracle_abandons_a_start_whose_jacobian_is_singular(monkeypatch):
     # an FD step below the rounding of the unknowns leaves every neighbour
     # where its point is: the Jacobian is exactly singular at each
     # candidate, so no Newton step is tried and the oracle fails cleanly
+    # after the candidate sweep and one neighbour sweep for each of the 39
+    # candidates (of 41) that stay in phi's range (1 sweep in all when
+    # the candidate sweep took every neighbour)
     rk4 = solver._rk4_batch
     sweeps = []
 
-    def counting(*args, **kw):
-        sweeps.append(1)
-        return rk4(*args, **kw)
+    def counting(spec, grid, start, steps, u0, w0, keep=False):
+        sweeps.append(keep)
+        return rk4(spec, grid, start, steps, u0, w0, keep)
 
     monkeypatch.setattr(solver, "_rk4_batch", counting)
     monkeypatch.setattr(solver, "_FD_STEP", 1e-300)
     with pytest.raises(OracleFailure):
         shooting_oracle(make_spec(*BATTERY[0][:4]))
-    assert len(sweeps) == 1
+    assert sweeps == [False] * (1 + 39)
 
 
 def test_oracle_abandons_a_start_whose_trials_all_fail(monkeypatch):
-    # every one-point sweep comes back nan-filled, so each start halves
-    # alpha from 1 down to 2^-20, 21 trials, and then gives up
+    # every trial comes back nan-filled, so each start sweeps its
+    # neighbours, halves alpha from 1 down to 2^-20, 21 trials, and then
+    # gives up
     rk4 = solver._rk4_batch
     sweeps = []
 
@@ -656,7 +665,9 @@ def test_oracle_abandons_a_start_whose_trials_all_fail(monkeypatch):
     monkeypatch.setattr(solver, "_rk4_batch", failing)
     with pytest.raises(OracleFailure):
         shooting_oracle(make_spec(*BATTERY[2][:4]))
-    assert sweeps == [False] + [True] * 21 * 5  # five singular-class starts
+    # five singular-class starts; [False] + [True] * 105 when the candidate
+    # sweep took every neighbour
+    assert sweeps == [False] + ([False] + [True] * 21) * 5
 
 
 @pytest.mark.parametrize("n", [3, 4, 102, 1000, 1002])
@@ -674,6 +685,64 @@ def test_multiple_shooting_agrees_with_one_segment(monkeypatch, family, n):
     one = solver._shoot(spec, root)
     assert np.max(np.abs(w.u - one.u)) <= 1e-9
     assert np.max(np.abs(w.du - one.du)) <= 1e-9
+
+
+def full_stack_jacobian(rules, inverse, x, e, r):
+    # the reference: the dense FD Jacobian of the whole residual, every
+    # neighbour's segment starts and ends stacked whole, each residual minus r
+    K = (len(r) + rules.pinned) // 2
+    free = np.arange(rules.pinned, 2 * K)
+    S, ends = np.repeat(np.stack([x[:K], e[:K]])[:, None], len(free), axis=1)
+    S[np.arange(len(free)), free // 2] = x[K:]
+    ends[np.arange(len(free)), free // 2] = e[K:]
+    return (solver._residual(rules, inverse, S, ends) - r).T / solver._FD_STEP
+
+
+@pytest.mark.parametrize("one_segment", [False, True], ids=["segments", "one"])
+@pytest.mark.parametrize("family", [BATTERY[0], BATTERY[2], BATTERY[5]],
+                         ids=[BATTERY_IDS[0], BATTERY_IDS[2], BATTERY_IDS[5]])
+def test_block_jacobian_is_the_full_stack_jacobian(monkeypatch, family, one_segment):
+    # at n = 102, 101 steps make 11 segments of 9 and 10 steps; with one
+    # segment its unknowns reach the boundary rows through start and end
+    cls, phi_args, f_src, T, *_ = family
+    spec = make_spec(cls, phi_args, f_src, T, grid_n=102)
+    if one_segment:
+        monkeypatch.setattr(solver, "_SEGMENT_STEPS", 101)
+    built = []
+    jacobian = solver._jacobian
+
+    def recording(rules, inverse, x, e, r):
+        J = jacobian(rules, inverse, x, e, r)
+        built.append((J, full_stack_jacobian(rules, inverse, x, e, r)))
+        return J
+
+    monkeypatch.setattr(solver, "_jacobian", recording)
+    shooting_oracle(spec)
+    assert built
+    for J, dense in built:
+        assert J.shape == dense.shape == (2 * (1 if one_segment else 11) - (cls is D),) * 2
+        assert np.allclose(J.toarray(), dense, rtol=0.0, atol=1e-8)
+        # O(K) entries: two gap rows and a -1 a column, and boundary rows
+        # in the first and last segments' columns alone
+        assert J.nnz <= 3 * J.shape[0] + 4
+
+
+@pytest.mark.parametrize("family", [BATTERY[0], BATTERY[5]],
+                         ids=[BATTERY_IDS[0], BATTERY_IDS[5]])
+def test_oracle_cost_stays_linear_in_the_segment_count(family):
+    # 20,001 nodes make 2,000 segments: a dense Jacobian alone would take
+    # 128 MB, the sparse one and the sweeps a few
+    cls, phi_args, f_src, T, *_ = family
+    spec = make_spec(cls, phi_args, f_src, T, grid_n=20001, tol_fp=1e-12)
+    report = solve(spec)
+    tracemalloc.start()
+    try:
+        w = shooting_oracle(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20  # measured 18.8 MB (Dirichlet), 5.1 MB (classic)
+    assert np.max(np.abs(w.u - report.solution.u)) <= 1e-4
 
 
 @pytest.mark.parametrize("k", [1.99, -1.99])
