@@ -318,25 +318,15 @@ def check_signs(phi: Homeomorphism, f: Expr, m1: float, m2: float, c: Expr,
 
     for it, t in enumerate(ts):
         fvals = _f_slice(f, t, xs, ys, box)
-        bad = fvals < c_vals[it] - SIGN_SLACK
-        if np.any(bad):
-            i, j = np.unravel_index(int(np.argmax(bad)), bad.shape)
-            return fail(float(t), float(xs[i]), float(ys[j]),
-                        f"f = {_fmt(fvals[i, j])} < c(t) = {_fmt(c_vals[it])}")
-        high = fvals[:, upper]
-        bad = high <= 0.0
-        if np.any(bad):
-            i, j = np.unravel_index(int(np.argmax(bad)), bad.shape)
-            y = ys[upper][j]
-            return fail(float(t), float(xs[i]), float(y),
-                        f"f = {_fmt(high[i, j])} not > 0 although y >= m2")
-        low = fvals[:, lower]
-        bad = low >= 0.0
-        if np.any(bad):
-            i, j = np.unravel_index(int(np.argmax(bad)), bad.shape)
-            y = ys[lower][j]
-            return fail(float(t), float(xs[i]), float(y),
-                        f"f = {_fmt(low[i, j])} not < 0 although y <= m1")
+        # the first failing sample in row-major order, masks on the whole grid
+        for bad, detail in ((fvals < c_vals[it] - SIGN_SLACK,
+                             f"< c(t) = {_fmt(c_vals[it])}"),
+                            ((fvals <= 0.0) & upper, "not > 0 although y >= m2"),
+                            ((fvals >= 0.0) & lower, "not < 0 although y <= m1")):
+            if bad.any():
+                i, j = np.unravel_index(int(np.argmax(bad)), bad.shape)
+                return fail(float(t), float(xs[i]), float(ys[j]),
+                            f"f = {_fmt(fvals[i, j])} {detail}")
 
     return SignCertificate(Verdict("checked_on_grid"), m1, m2, c_neg_l1, L,
                            r, rho_min, box)
@@ -496,18 +486,17 @@ def brouwer_degree(f: Expr, T: float, rho: float,
 
 
 def _solve_each(J: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """The solutions x of J[i] @ x = r[i], with nan rows for a singular
-    J[i]; a singular matrix makes numpy raise for the whole stack."""
-    try:
-        return np.linalg.solve(J, r[:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError:
-        out = np.full_like(r, np.nan)
-        for i in range(len(r)):
-            try:
-                out[i] = np.linalg.solve(J[i], r[i])
-            except np.linalg.LinAlgError:
-                pass
-        return out
+    """The solutions x of J[i] @ x = r[i] in one stacked solve, with nan
+    rows where det J[i] == 0.  numpy would raise for the whole stack at one
+    singular J[i], which LAPACK tests as an exact zero pivot; det is the
+    product of the same LU pivots, so the two tests agree unless a regular
+    2x2 determinant underflows below about 1e-308 (that row is nan too).
+    det runs silenced, as a nan or inf in J[i] makes it warn (solve does not)."""
+    with np.errstate(all="ignore"):
+        ok = np.linalg.det(J) != 0
+    out = np.full_like(r, np.nan)
+    out[ok] = np.linalg.solve(J[ok], r[ok, :, None])[..., 0]
+    return out
 
 
 def newton_sign_sum(f: Expr, T: float, rho: float, starts_per_axis: int = 16):

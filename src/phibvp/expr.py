@@ -12,16 +12,15 @@ unary functions sin cos exp log sqrt abs tanh.  ``parse_expr`` returns an
 immutable tree; ``eval_many`` evaluates it at numpy arrays (broadcasting),
 and ``eval_expr`` is its 0-d case, at scalars.  There is one evaluator, so
 both report the same domain faults with the same messages.  It compiles a
-tree once per mode, on its first evaluation, into a numpy kernel that it
-caches; ``kernel`` hands that kernel to a caller that evaluates one tree in
-a loop.  Evaluation is pure and deterministic.
+tree once per mode, on its first evaluation, into a numpy kernel that the
+tree itself keeps; ``kernel`` hands that kernel to a caller that evaluates
+one tree in a loop.  Evaluation is pure and deterministic.
 """
 
 from __future__ import annotations
 
 import math
 import re
-import weakref
 from collections import namedtuple
 from dataclasses import dataclass
 from typing import Union
@@ -212,14 +211,6 @@ _DOMAIN_FAULTS = {
     "log": ("{} <= 0.0", "log of non-positive value"),
     "sqrt": ("{} < 0.0", "sqrt of negative value"),
 }
-_KERNEL_CACHE_SIZE = 256
-_KERNELS: dict = {}  # (id(e), lenient) -> (weak reference to e, kernel)
-
-
-def _drop(key: tuple, ref: weakref.ref) -> None:
-    """ref's callback: once e dies, pop its entry if the entry still holds ref."""
-    if _KERNELS.get(key, (None,))[0] is ref:
-        _KERNELS.pop(key)
 
 
 def _fault(message: str, mask, t, u, v) -> EvalDomainError:
@@ -292,21 +283,17 @@ def eval_expr(e: Expr, t: float, u: float, v: float) -> float:
 
 
 def kernel(e: Expr, lenient: bool = False):
-    """e's cached kernel in this mode, compiled on first use.  It takes
+    """e's kernel in this mode, compiled on first use and kept in e's own
+    __dict__, as functools.cached_property keeps a value: it dies with e,
+    and an equal but distinct tree (u*0.0, u*-0.0) gets its own.  It takes
     float arrays (t, u, v), must run under ``np.errstate(all="ignore")``,
     and returns an array that may be smaller than their broadcast shape
     (0-d when every variable e uses is 0-d)."""
-    # keyed on identity: the dataclass hash walks the whole tree; the weak
-    # reference drops e's entry once e dies and tells e from a dead node
-    # whose id it reuses
-    key = (id(e), lenient)
-    hit = _KERNELS.get(key)
-    if hit is None or hit[0]() is not e:
-        if len(_KERNELS) >= _KERNEL_CACHE_SIZE:
-            _KERNELS.pop(next(iter(_KERNELS)), None)  # the oldest
-        hit = _KERNELS[key] = (weakref.ref(e, lambda ref: _drop(key, ref)),
-                               _compile(e, lenient))
-    return hit[1]
+    name = "_lenient_kernel" if lenient else "_kernel"
+    run = e.__dict__.get(name)
+    if run is None:
+        run = e.__dict__[name] = _compile(e, lenient)
+    return run
 
 
 def eval_many(e: Expr, t, u, v, lenient: bool = False) -> np.ndarray:

@@ -232,8 +232,7 @@ class _StageResult:
     reason: str
 
 
-def _picard_stage(spec: ProblemSpec, lam: float, u: GridFunction,
-                  first_stage: bool) -> _StageResult:
+def _picard_stage(spec: ProblemSpec, lam: float, u: GridFunction) -> _StageResult:
     """Anderson-mixed Picard iteration on the stacked state z = (u, du).
 
     With the residual f = M(z) - z from _fp_gap and the differences dZ, dF
@@ -265,8 +264,10 @@ def _picard_stage(spec: ProblemSpec, lam: float, u: GridFunction,
         try:
             f, r, ok = _fp_gap(spec, u, lam)
         except EvalDomainError:
-            if first_stage and k == 1:
-                raise  # a fault at the start point is a problem-definition fault
+            if k == 1:
+                # a problem-definition fault; a later stage starts where f,
+                # which lam does not enter, was evaluated without one
+                raise
             return _StageResult(best_u, k, False, best_r, "domain_fault")
         if ok:
             return _StageResult(u, k, True, r, "converged")
@@ -409,7 +410,7 @@ def solve(spec: ProblemSpec) -> SolveReport:
     while lam_done < 1:
         lam = float(min(1, lam_done + lam_step))
         try:
-            st = _picard_stage(spec, lam, u, not path)
+            st = _picard_stage(spec, lam, u)
         except AdmissibilityViolation:
             if lam_step / 2 >= _LAMBDA_STEP_MIN:
                 lam_step /= 2
@@ -455,19 +456,16 @@ _NEWTON_STALL_STEPS = 5
 _SEGMENT_STEPS = 10
 
 
-def _rk4_batch(spec: ProblemSpec, grid: Grid, start: int | np.ndarray,
-               steps: int | np.ndarray, u0: np.ndarray, w0: np.ndarray,
+def _rk4_batch(spec: ProblemSpec, grid: Grid, start: np.ndarray,
+               steps: np.ndarray, u0: np.ndarray, w0: np.ndarray,
                keep: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Integrate u' = phi^{-1}(w), w' = f(t, u, phi^{-1}(w)) for a batch of
-    initial states, column c from node start[c] for steps[c] steps (either
-    may be one int for all), its time at step i nodes[start + i] for every
-    i < max(steps).  Returns (U, W, invalid): with keep, trajectories of
-    shape (max(steps) + 1, m), column c ending at row steps[c]; else the
-    ends alone.  invalid masks the runs whose w left phi's range (bounded
-    phi only) or overflowed within their own steps; invalid runs are
-    nan-filled.  A common start reaches f's lenient kernel as a 0-d t, as
-    eval_many passes it: numpy's power of two numpy floats can round
-    differently from its array power.
+    initial states, column c from node start[c] for steps[c] steps, its
+    time at step i nodes[start[c] + i] for every i < max(steps).  Returns
+    (U, W, invalid): with keep, trajectories of shape (max(steps) + 1, m),
+    column c ending at row steps[c]; else the ends alone.  invalid masks
+    the runs whose w left phi's range (bounded phi only) or overflowed
+    within their own steps; invalid runs are nan-filled.
     """
     inverse = spec.phi.inverse
     f = kernel(spec.f, lenient=True)
@@ -479,7 +477,6 @@ def _rk4_batch(spec: ProblemSpec, grid: Grid, start: int | np.ndarray,
     cap = (spec.phi.a - EPS_DOM) if bounded else np.inf
 
     m = len(u0)
-    steps = np.broadcast_to(steps, (m,))
     ending = {s: steps == s for s in np.unique(steps).tolist()}
     Y = np.empty((max(ending) + 1 if keep else 1, 2, m))
     Y[0] = u0, w0
@@ -500,11 +497,11 @@ def _rk4_batch(spec: ProblemSpec, grid: Grid, start: int | np.ndarray,
     with np.errstate(all="ignore"):
         for i in range(max(ending)):
             t = nodes[start + i]
-            tm = np.asarray(t + half)
-            rhs(np.asarray(t), y, k1)
+            tm = t + half
+            rhs(t, y, k1)
             rhs(tm, y + half * k1, k2)
             rhs(tm, y + half * k2, k3)
-            rhs(np.asarray(t + h), y + h * k3, k4)
+            rhs(t + h, y + h * k3, k4)
             y = np.add(y, sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4),
                        out=Y[i + 1] if keep else y)
             if (done := ending.get(i + 1)) is not None:

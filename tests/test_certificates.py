@@ -16,6 +16,7 @@ from phibvp.expr import EvalDomainError
 from phibvp.certificates import (
     BoundaryZero,
     InconsistentDerivative,
+    _solve_each,
     brouwer_degree,
     check_growth,
     check_signs,
@@ -400,13 +401,24 @@ def test_sign_sum_contains_faults_per_start(starts, zero):
 
 def test_singular_jacobians_end_only_their_own_starts():
     # f = 0, T = 1 maps (a, b) to (a, -a) up to rounding, so most Newton
-    # Jacobians are exactly singular, which makes numpy raise for the whole
-    # stack; two starts still reach zeros on the b-axis, both degenerate
+    # Jacobians are exactly singular, which would make numpy raise for the
+    # whole stack; two starts still reach zeros on the b-axis, both degenerate
     sign_sum, zeros, trustworthy = newton_sign_sum(parse_expr("0"), 1.0, 1.0,
                                                    starts_per_axis=8)
     assert (sign_sum, trustworthy) == (0, False)
     assert [tuple(z) for z in zeros] == [(-4.107963968991157e-12, -0.5714285714285715),
                                          (-4.107963968991157e-12, 0.5714285714285713)]
+
+
+def test_stacked_solve_leaves_each_row_to_its_own_jacobian():
+    # a singular row is nan and a row with an inf entry solves to non-finite
+    # values, without a warning from det; the regular row solves as alone
+    J = np.array([[[2.0, 1.0], [1.0, 3.0]], [[1.0, 2.0], [2.0, 4.0]],
+                  [[1.0, np.inf], [0.0, 1.0]]])
+    r = np.array([[1.0, 2.0], [1.0, 1.0], [1.0, 1.0]])
+    x = _solve_each(J, r)
+    assert np.array_equal(x[0], np.linalg.solve(J[0], r[0]))
+    assert np.isnan(x[1]).all() and not np.isfinite(x[2]).all()
 
 
 def test_pole_inside_the_disk_leaves_the_degree_undefined():

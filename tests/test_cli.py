@@ -7,6 +7,7 @@ spawning subprocesses.
 
 import gc
 import re
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -80,17 +81,6 @@ def test_solve_dirichlet_benchmark(tmp_path, capsys):
 
     report = (tmp_path / "prob.report.txt").read_text()
     assert "converged=true" in report
-
-
-def test_solve_output_is_byte_identical_across_runs(tmp_path, capsys):
-    path_a = write(tmp_path, DIRICHLET_BENCH, "a.txt")
-    path_b = write(tmp_path, DIRICHLET_BENCH, "b.txt")
-    assert main(["solve", path_a]) == EXIT_OK
-    assert main(["solve", path_b]) == EXIT_OK
-    assert (tmp_path / "a.solution.csv").read_bytes() == \
-        (tmp_path / "b.solution.csv").read_bytes()
-    assert (tmp_path / "a.report.txt").read_bytes() == \
-        (tmp_path / "b.report.txt").read_bytes()
 
 
 def test_solution_csv_round_trips_bit_for_bit(tmp_path, capsys):
@@ -613,6 +603,24 @@ def test_shipped_problem_files(cmd, name, code, tmp_path, capsys):
     assert main([cmd, str(path), "--out-dir", str(tmp_path)]) == code
 
 
+@pytest.mark.parametrize("cmd,name,code", SHIPPED,
+                         ids=["%s-%s" % (c, n.split(".")[0]) for c, n, _ in SHIPPED])
+def test_output_is_byte_identical_across_runs(cmd, name, code, tmp_path, capsys,
+                                              caplog):
+    # two runs in one process: the same exit code, terminal output, log
+    # records and written files, byte for byte
+    runs = []
+    for _ in range(2):
+        got = main([cmd, str(PROBLEMS_DIR / name), "--out-dir", str(tmp_path)])
+        files = {p.name: p.read_bytes() for p in sorted(tmp_path.iterdir())}
+        for p in tmp_path.iterdir():
+            p.unlink()
+        runs.append((got, capsys.readouterr(), caplog.messages, files))
+        caplog.clear()
+    assert runs[0][0] == code
+    assert runs[0] == runs[1]
+
+
 def test_main_reuses_one_parser_and_leaves_no_cyclic_garbage(tmp_path, capsys):
     # a parser built per call left 166-218 objects of cyclic garbage behind
     # it, and each kernel expr._compile built 13 more, so gen-0 collections
@@ -643,12 +651,21 @@ def test_main_reuses_one_parser_and_leaves_no_cyclic_garbage(tmp_path, capsys):
         gc.garbage.clear()
 
 
-def test_kernel_cache_keeps_no_dead_expression(tmp_path):
-    # each check call parses its own forcing and profiles; a dead
-    # expression's kernel once stayed cached until 256 newer compiles
-    # evicted it (these five calls left 9 such entries)
+def test_no_kernel_outlives_its_call(tmp_path, monkeypatch):
+    # each check call parses its own forcing and profiles, and each tree
+    # keeps its own kernels, so reference counting frees them with the
+    # call's trees
+    compiled = []
+    compile_kernel = expr._compile
+
+    def recording(e, lenient):
+        run = compile_kernel(e, lenient)
+        compiled.append(weakref.ref(run))
+        return run
+
+    monkeypatch.setattr(expr, "_compile", recording)
     argv = ["check", str(PROBLEMS_DIR / "classic_cubic.txt"), "--out-dir", str(tmp_path)]
-    for _ in range(5):
+    for k in range(1, 6):
         assert main(argv) == EXIT_OK
-        gc.collect()
-        assert all(ref() is not None for ref, _ in expr._KERNELS.values())
+        assert len(compiled) == 2 * k
+        assert all(ref() is None for ref in compiled)

@@ -1,3 +1,4 @@
+import gc
 import math
 import re
 import weakref
@@ -369,12 +370,18 @@ def test_oracle_compiles_its_forcing_once_per_mode(compiles):
 
 
 def test_equal_but_distinct_expressions_get_their_own_kernels(compiles):
-    a, b = parse_expr("u*2 + t"), parse_expr("u*2 + t")
-    assert a == b and a is not b
+    # Num(0.0) == Num(-0.0): a kernel looked up by equality would give the
+    # second tree of that pair the first one's sign bit
+    pairs = [(parse_expr("u*2 + t"), parse_expr("u*2 + t")),
+             (BinOp("*", Var("u"), Num(0.0)), BinOp("*", Var("u"), Num(-0.0)))]
     u = np.arange(3.0)
-    assert np.array_equal(eval_many(a, 1.0, u, u), 2 * u + 1)
-    assert np.array_equal(eval_many(b, 1.0, u, u), 2 * u + 1)
-    assert compiles == [(id(a), False), (id(b), False)]
+    for a, b in pairs:
+        assert a == b and a is not b
+        for e in (a, b):
+            got, want = eval_many(e, 1.0, u, u), reference_eval_many(e, 1.0, u, u)
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert compiles == [(id(e), False) for pair in pairs for e in pair]
 
 
 def test_reused_id_never_gets_a_stale_kernel(compiles):
@@ -393,28 +400,18 @@ def test_reused_id_never_gets_a_stale_kernel(compiles):
 
 
 def test_a_dead_expression_takes_its_kernels_with_it():
+    # each tree keeps its own kernels, so reference counting frees them
+    # with the tree, without the cyclic collector
     e = parse_expr("u + 41")
-    eval_many(e, 0.0, 1.0, 0.0)
-    eval_many(e, 0.0, 1.0, 0.0, lenient=True)
-    keys = [(id(e), False), (id(e), True)]
-    assert all(key in expr_module._KERNELS for key in keys)
-    del e
-    assert not any(key in expr_module._KERNELS for key in keys)
-
-
-def test_a_dead_expression_leaves_a_newer_entry_under_its_key():
-    # the callback pops the entry only while it still holds the reference
-    # to the expression that died
-    e, other = parse_expr("u + 42"), parse_expr("u + 43")
-    eval_many(e, 0.0, 1.0, 0.0)
-    key = (id(e), False)
-    newer = (weakref.ref(other), expr_module.kernel(other))
-    expr_module._KERNELS[key] = newer
+    refs = [weakref.ref(expr_module.kernel(e, lenient)) for lenient in (False, True)]
+    assert all(ref() is not None for ref in refs)
+    gc.disable()
     try:
         del e
-        assert expr_module._KERNELS[key] is newer
+        assert all(ref() is None for ref in refs)
     finally:
-        expr_module._KERNELS.pop(key, None)
+        gc.enable()
+
 
 def test_lenient_kernel_does_not_stand_in_for_strict():
     e = parse_expr("log(u)")
@@ -433,4 +430,3 @@ def test_kernel_is_the_cached_entry_eval_many_uses(compiles):
     u = np.arange(3.0)
     assert np.array_equal(eval_many(e, 1.0, u, u), u * u + 1)
     assert compiles == [(id(e), False), (id(e), True)]
-    assert expr_module._KERNELS[(id(e), False)][1] is strict

@@ -226,6 +226,14 @@ FAILED_HANDOFFS = [
      "0.424604); no Newton-Krylov handoff", "picard", 0,
      "fp_residual=0.42460429876447303\node_residual=1.2039728043259361\n"
      "bc_residual=0.0\nomega_margin=n/a\niterations=2\nlambda_path=1.0:2\n"),
+    # a later stage's fault ends that stage, not the solve: only the first
+    # stage's first map raises it; the best iterate is inadmissible at
+    # lambda = 1, so its gap is inf
+    ((D, ("mean_curvature", 1.0), "log(0.08 - u) + 1", 1.0),
+     "stopped at lambda=0.2 (domain_fault after 4 iterations, best residual "
+     "0.00277543); no Newton-Krylov handoff", "picard", 0,
+     "fp_residual=inf\node_residual=2.4752290740341567\nbc_residual=0.0\n"
+     "omega_margin=-1.847707810978482\niterations=10\nlambda_path=0.1:6,0.2:4\n"),
     # the iterate is inadmissible for the lambda = 1 map, so its gap is inf
     ((D, ("mean_curvature", 1.0), "u^2*100 + 1", 2.0),
      "stalled at lambda=0.11875 (best residual 0.00188393 not halved",
@@ -238,7 +246,7 @@ FAILED_HANDOFFS = [
 
 @pytest.mark.parametrize("family,reason,method,newton_calls,text", FAILED_HANDOFFS,
                          ids=["domain_fault", "diverged", "domain_fault_at_1",
-                              "inadmissible_at_1"])
+                              "domain_fault_in_a_later_stage", "inadmissible_at_1"])
 def test_failed_handoff_reports_nonconvergence(monkeypatch, caplog, family, reason,
                                                method, newton_calls, text):
     calls = []
@@ -400,11 +408,17 @@ def test_battery_class_invariants(cls, phi_args, f_src, T, res_cap, gap_cap):
 # ---------------------------------------------------------------- shooting
 
 
+def _whole_grid(grid, m):
+    """Per-column start nodes and step counts of m runs over the grid."""
+    return np.zeros(m, dtype=int), np.full(m, grid.n - 1)
+
+
 def _sweep_columns_alone(spec, grid, u0, w0):
     """RK4 batch of all initial states, and each state run by itself."""
-    U, W, bad = solver._rk4_batch(spec, grid, 0, grid.n - 1, u0, w0, keep=True)
+    U, W, bad = solver._rk4_batch(spec, grid, *_whole_grid(grid, len(u0)), u0, w0,
+                                  keep=True)
     for j in range(len(u0)):
-        Uj, Wj, bj = solver._rk4_batch(spec, grid, 0, grid.n - 1, u0[j:j + 1],
+        Uj, Wj, bj = solver._rk4_batch(spec, grid, *_whole_grid(grid, 1), u0[j:j + 1],
                                        w0[j:j + 1], keep=True)
         assert np.array_equal(U[:, j], Uj[:, 0], equal_nan=True)
         assert np.array_equal(W[:, j], Wj[:, 0], equal_nan=True)
@@ -480,7 +494,8 @@ def reference_rk4_batch(spec, grid, u0, w0):
 
 def _assert_sweep_matches_reference(spec, u0, w0):
     grid = Grid(spec.T, spec.grid_n)
-    got = solver._rk4_batch(spec, grid, 0, grid.n - 1, u0, w0, keep=True)
+    got = solver._rk4_batch(spec, grid, *_whole_grid(grid, len(u0)), u0, w0,
+                            keep=True)
     # the reference overflows outside any errstate on a faulting forcing
     with np.errstate(all="ignore"):
         want = reference_rk4_batch(spec, grid, u0, w0)
@@ -511,8 +526,9 @@ def test_rk4_batch_matches_reference_on_invalid_scan():
     ("cos(t)", False),  # the kernel's result is 0-d, broadcast to the batch
     ("1/t", True),      # lenient faults at t = 0: inf, then nan
     ("t/t", True),
-    # t enters the kernel as a 0-d array: a numpy float would take numpy's
-    # scalar power, which can differ from the array power in the last bit
+    # t enters the kernel as an array, one entry per column, and the
+    # reference's as a 0-d array: both take numpy's array power, where a
+    # numpy float would take its scalar power, which can differ in the last bit
     ("t^t + u", False),
 ], ids=["cos_t", "one_over_t", "t_over_t", "t_pow_t"])
 def test_rk4_batch_matches_reference_on_t_forcings(f_src, faults):
@@ -526,7 +542,8 @@ def test_rk4_batch_flags_overflow_without_a_warning():
     # the sweep's own arithmetic overflows; tier-1 turns a RuntimeWarning
     # into an error, and a diverging trial trajectory is data
     spec = make_spec(C, ("identity",), "1.5e308", 1.0, grid_n=101)
-    U, W, bad = solver._rk4_batch(spec, Grid(1.0, 101), 0, 100,
+    grid = Grid(1.0, 101)
+    U, W, bad = solver._rk4_batch(spec, grid, *_whole_grid(grid, 2),
                                   np.array([0.0, 1.0]), np.array([0.0, 1.0]),
                                   keep=True)
     assert bad.all()
@@ -550,7 +567,7 @@ def test_rk4_batch_ends_are_each_columns_own_row():
     assert np.array_equal(u, U[steps, cols]) and np.array_equal(w, W[steps, cols])
     assert np.array_equal(b, bad) and not bad.any()
     for c in cols:
-        uc, wc, _ = solver._rk4_batch(spec, grid, start[c:c + 1], steps[c],
+        uc, wc, _ = solver._rk4_batch(spec, grid, start[c:c + 1], steps[c:c + 1],
                                       u0[c:c + 1], w0[c:c + 1])
         assert uc[0] == u[c] and wc[0] == w[c]
 
@@ -561,8 +578,9 @@ def test_rk4_batch_flags_a_column_by_its_own_steps_alone(keep):
     # t = 0.06; a column that ends at t = 0.05 stays valid, though the
     # sweep runs on to t = 0.1 for the other
     spec = make_spec(D, ("mean_curvature", 1.0), "-5", 1.0, grid_n=101)
-    U, W, bad = solver._rk4_batch(spec, Grid(1.0, 101), 0, np.array([5, 10]),
-                                  np.zeros(2), np.full(2, -0.7), keep=keep)
+    U, W, bad = solver._rk4_batch(spec, Grid(1.0, 101), np.zeros(2, dtype=int),
+                                  np.array([5, 10]), np.zeros(2), np.full(2, -0.7),
+                                  keep=keep)
     assert bad.tolist() == [False, True]
     end = W[5, 0] if keep else W[0]
     assert abs(end + 0.95) <= 1e-12
@@ -585,7 +603,6 @@ def test_oracle_integrates_no_state_twice(monkeypatch, family, sweeps):
 
     def recording(spec, grid, start, steps, u0, w0, keep=False):
         out = rk4(spec, grid, start, steps, u0, w0, keep)
-        start = np.broadcast_to(start, u0.shape)
         recorded.append((list(zip(start.tolist(), u0.tolist(), w0.tolist())),
                          keep, out))
         return out
@@ -763,7 +780,7 @@ def test_picard_stage_stops_at_its_budget(monkeypatch):
     # a stage that neither converges, stalls nor diverges ends at MAX_ITER
     monkeypatch.setattr(solver, "MAX_ITER", 3)
     spec = make_spec(D, ("mean_curvature", 1.0), "u - 2", 0.1, tol_fp=1e-13)
-    st = solver._picard_stage(spec, 1.0, zero_function(Grid(0.1, spec.grid_n)), True)
+    st = solver._picard_stage(spec, 1.0, zero_function(Grid(0.1, spec.grid_n)))
     assert (st.reason, st.iterations, st.converged) == ("budget", 3, False)
 
 
