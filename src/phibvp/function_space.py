@@ -53,7 +53,7 @@ class GridFunction:
 
     Construction checks shape and finiteness only, not that du is the
     derivative of u.  The fixed-point maps build u as the trapezoid
-    integral of du; the shooting oracle integrates both with RK4.
+    integral of du; the oracle samples both from its collocation solution.
     """
 
     grid: Grid

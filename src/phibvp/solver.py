@@ -1,5 +1,5 @@
 """Boundary value solver: damped fixed-point iteration plus an independent
-shooting oracle.
+collocation oracle.
 
 ``solve`` iterates the class-appropriate integral map with adaptive
 damping and (for the Dirichlet and classic classes) a homotopy parameter
@@ -18,11 +18,10 @@ silently.  A stage that diverges or meets a domain fault ends the solve
 without one: its iterate is not near a fixed point.
 
 ``shooting_oracle`` solves the same problem by a genuinely different
-discretization: RK4 time stepping of the first-order system in
-(u, phi(u')), by multiple shooting from the best of a fixed list of
-candidate starts: segments of at most ``_SEGMENT_STEPS`` = 10 steps,
-every candidate's in one sweep, and a sparse Newton solve for their
-starts.  Tests compare the two routes; they share no discretization code.
+discretization: scipy's ``solve_bvp``, fourth-order collocation of the
+first-order system in (u, phi(u')) on its own adaptive mesh, from the
+first of a fixed list of candidate starts that converges.  Tests compare
+the two routes; they share no discretization code.
 
 Each problem class is one ``_Rules`` record in ``_RULES``, the one place
 where this module tells the classes apart.
@@ -38,7 +37,6 @@ from typing import Callable
 
 import numpy as np
 import scipy.optimize
-import scipy.sparse.linalg
 
 # eval_many is unused here, but bench/tracing.py patches this name
 from .expr import EvalDomainError, Expr, eval_many, kernel  # noqa: F401
@@ -74,8 +72,6 @@ _STALL_FACTOR = 0.5
 _DIVERGENCE_CAP = 1e8
 # differences of past iterates an Anderson step mixes in
 _ANDERSON_DEPTH = 3
-_SHOOT_SCAN = 41
-_FD_STEP = 1e-6
 
 
 class ProblemClass(enum.Enum):
@@ -88,35 +84,30 @@ class ProblemClass(enum.Enum):
 class _Rules:
     """A class's phi kind, map(phi, f, w, lam), whether lambda is continued,
     signed boundary residuals bc(u(0), u(T), u'(0), u'(T)) for the report and
-    the oracle, the first `pinned` of which fix a shooting unknown outright,
-    and the oracle's candidate starts(phi, T), each (u(0), phi(u'(0)))."""
+    the oracle, and the oracle's candidate starts(phi, T), each (u(0),
+    phi(u'(0)))."""
 
     kind: Kind
     map: Callable[[Homeomorphism, Expr, GridFunction, float], GridFunction]
     homotopy: bool
     bc: Callable[..., list]
-    pinned: int
     starts: Callable[[Homeomorphism, float], list[tuple[float, float]]]
-
-
-def _dirichlet_starts(phi: Homeomorphism, T: float) -> list[tuple[float, float]]:
-    # keeps the top candidate's FD neighbour w0 + _FD_STEP inside (-a, a)
-    margin = 1e-6 * phi.a + _FD_STEP
-    return [(0.0, w) for w in np.linspace(-phi.a + margin, phi.a - margin, _SHOOT_SCAN)]
 
 
 _RULES = {
     ProblemClass.DIRICHLET_BOUNDED: _Rules(
         Kind.BOUNDED, dirichlet_map, True,
-        lambda u0, uT, v0, vT: [u0, uT], 1, _dirichlet_starts),
+        lambda u0, uT, v0, vT: [u0, uT],
+        # 41 levels strictly inside phi's range (-a, a)
+        lambda phi, T: [(0.0, w) for w in np.linspace(-phi.a, phi.a, 43)[1:-1]]),
     ProblemClass.THREEPOINT_SINGULAR: _Rules(
         Kind.SINGULAR, lambda phi, f, w, lam: singular_threepoint_map(phi, f, w), False,
-        lambda u0, uT, v0, vT: [uT - u0, vT - u0], 0,
+        lambda u0, uT, v0, vT: [uT - u0, vT - u0],
         lambda phi, T: [(c * phi.a, float(phi.forward(c * phi.a * 0.9)))
                         for c in (0.0, 0.3, -0.3, 0.6, -0.6)]),
     ProblemClass.THREEPOINT_CLASSIC: _Rules(
         Kind.CLASSIC, classic_threepoint_map, True,
-        lambda u0, uT, v0, vT: [vT - v0, uT - v0], 0,
+        lambda u0, uT, v0, vT: [vT - v0, uT - v0],
         lambda phi, T: [(s * (1.0 - T), float(phi.forward(s)))
                         for s in (0.5, -0.5, 0.0, 1.0, -1.0, 2.0, -2.0, 0.25, -0.25)]),
 }
@@ -448,215 +439,61 @@ def solve(spec: ProblemSpec) -> SolveReport:
     return report
 
 
-# ------------------------------------------------------------------ shooting
+# ------------------------------------------------------------------ oracle
 
-_NEWTON_STEPS = 60
-_NEWTON_STALL_STEPS = 5
-# the most RK4 steps a shooting segment takes
-_SEGMENT_STEPS = 10
-
-
-def _rk4_batch(spec: ProblemSpec, grid: Grid, start: np.ndarray,
-               steps: np.ndarray, u0: np.ndarray, w0: np.ndarray,
-               keep: bool = False) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Integrate u' = phi^{-1}(w), w' = f(t, u, phi^{-1}(w)) for a batch of
-    initial states, column c from node start[c] for steps[c] steps, its
-    time at step i nodes[start[c] + i] for every i < max(steps).  Returns
-    (U, W, invalid): with keep, trajectories of shape (max(steps) + 1, m),
-    column c ending at row steps[c]; else the ends alone.  invalid masks
-    the runs whose w left phi's range (bounded phi only) or overflowed
-    within their own steps; invalid runs are nan-filled.
-    """
-    inverse = spec.phi.inverse
-    f = kernel(spec.f, lenient=True)
-    nodes = grid.nodes
-    h = grid.h
-    half = 0.5 * h
-    sixth = h / 6.0
-    bounded = spec.phi.kind is Kind.BOUNDED
-    cap = (spec.phi.a - EPS_DOM) if bounded else np.inf
-
-    m = len(u0)
-    ending = {s: steps == s for s in np.unique(steps).tolist()}
-    Y = np.empty((max(ending) + 1 if keep else 1, 2, m))
-    Y[0] = u0, w0
-    y, end = Y[0], Y[0].copy()
-    k1, k2, k3, k4 = np.empty((4, 2, m))
-    # invalid as each step leaves it, and as each column's last step did
-    invalid, bad = np.zeros((2, m), dtype=bool)
-
-    def rhs(t: np.ndarray, y: np.ndarray, k: np.ndarray) -> None:
-        w = y[1]
-        if bounded:
-            np.logical_or(invalid, np.abs(w) > cap, out=invalid)
-            w = np.minimum(np.maximum(w, -cap), cap)
-        k[0] = inverse(w)
-        k[1] = f(t, y[0], k[0])
-
-    # a diverging trial trajectory is data: its overflow flags the column
-    with np.errstate(all="ignore"):
-        for i in range(max(ending)):
-            t = nodes[start + i]
-            tm = t + half
-            rhs(t, y, k1)
-            rhs(tm, y + half * k1, k2)
-            rhs(tm, y + half * k2, k3)
-            rhs(t + h, y + h * k3, k4)
-            y = np.add(y, sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4),
-                       out=Y[i + 1] if keep else y)
-            if (done := ending.get(i + 1)) is not None:
-                end[:, done] = y[:, done]
-                bad[done] = invalid[done]
-
-    bad |= ~np.isfinite(end).all(axis=0)
-    out = Y if keep else end
-    out[..., bad] = np.nan
-    return out[..., 0, :], out[..., 1, :], bad
-
-
-def _residual(rules: _Rules, inverse: Callable, S: np.ndarray,
-              E: np.ndarray) -> np.ndarray:
-    """Shooting residuals from segment starts S and ends E, both (..., K, 2):
-    the continuity gaps, then the class's unpinned boundary residuals."""
-    gaps = (E[..., :-1, :] - S[..., 1:, :]).reshape(*S.shape[:-2], -1)
-    u0, uT = S[..., 0, 0], E[..., -1, 0]
-    with np.errstate(all="ignore"):
-        v0 = np.asarray(inverse(S[..., 0, 1]), dtype=float)
-        vT = np.asarray(inverse(E[..., -1, 1]), dtype=float)
-    bc = rules.bc(u0, uT, v0, vT)[rules.pinned:]
-    return np.concatenate([gaps, np.stack(bc, axis=-1)], axis=-1)
-
-
-def _jacobian(rules: _Rules, inverse: Callable, x: np.ndarray, e: np.ndarray,
-              r: np.ndarray) -> scipy.sparse.csc_matrix:
-    """The FD Jacobian of _residual at the point with residual r, segment
-    starts x[:K] and ends e[:K], assembled from its blocks in O(K): x[K + i]
-    moves unknown i, of segment s, by _FD_STEP and ends at e[K + i].  The
-    column holds the change of s's end in s's two gap rows, the change of
-    its own start (-1 up to rounding) in a gap row of s - 1 and, for the
-    first and last segments alone, the change of the boundary rows; each
-    entry is the one the FD difference of the whole residual gives."""
-    K = (len(r) + rules.pinned) // 2
-    free = np.arange(rules.pinned, 2 * K)
-    s, col, xn, en = free // 2, np.arange(len(free)), x[K:], e[K:]
-    own, prev, edge = s < K - 1, s > 0, (s == 0) | (s == K - 1)
-    # the boundary rows are those of one segment from x[0] to e[K - 1]
-    S0 = np.where((s[edge] == 0)[:, None], xn[edge], x[0])
-    EK = np.where((s[edge] == K - 1)[:, None], en[edge], e[K - 1])
-    bc = _residual(rules, inverse, S0[:, None], EK[:, None]) - r[2 * K - 2:]
-    vals = [en[own] - e[s[own]], (x[s[prev]] - xn[prev]).sum(axis=1), bc]
-    rows = [(2 * s[own])[:, None] + [0, 1], free[prev] - 2,
-            np.broadcast_to(np.arange(2 * K - 2, len(r)), bc.shape)]
-    cols = [np.repeat(col[own], 2), col[prev], np.repeat(col[edge], bc.shape[1])]
-    v, i, j = (np.concatenate([a.ravel() for a in p]) for p in (vals, rows, cols))
-    return scipy.sparse.csc_matrix((v / _FD_STEP, (i, j)), shape=(len(r), len(r)))
-
-
-def _shoot(spec: ProblemSpec, starts: np.ndarray) -> GridFunction:
-    """Multiple shooting (Stoer & Bulirsch, Introduction to Numerical
-    Analysis, 7.3.5) by damped Newton from the starts (u(0), w(0)), in
-    order of max |R|, nan where _rk4_batch nan-filled a run.
-
-    [0, T] splits at grid nodes into K = ceil((n - 1) / _SEGMENT_STEPS)
-    segments, the last the longest by at most one step.  The unknowns are
-    the segment starts (u, w) less the leading ones the class pins (the
-    Dirichlet u(0) = 0), and R is _residual.  Later segments start flat:
-    w = w(0), u = u(0) + phi^{-1}(w(0)) t.  One sweep integrates every
-    candidate's segments, one more a Newton start's FD neighbours (step
-    1e-6), and each trial sweeps its segments with their neighbours.  The
-    sparse J (_jacobian) is factored once per Newton step.  A trial is
-    accepted when it shrinks the natural level |J^{-1} R|, the Newton step
-    (max |R| stalls once many small gaps weigh as much as the boundary
-    residual); a start whose step has not halved in _NEWTON_STALL_STEPS
-    steps, or whose J is singular, is abandoned.  Only one-point sweeps of
-    a point's segments keep their trajectories.
-    """
-    grid = Grid(spec.T, spec.grid_n)
-    inverse = spec.phi.inverse
-    rules = _RULES[spec.problem]
-    K = -(-(grid.n - 1) // _SEGMENT_STEPS)
-    bounds = np.arange(K + 1) * (grid.n - 1) // K
-    free = np.arange(rules.pinned, 2 * K)
-    # a point's columns: its K segments, then one FD neighbour per unknown
-    seg = np.concatenate([np.arange(K), free // 2])
-    offsets = np.zeros((len(seg), 2))
-    offsets[np.arange(K, len(seg)), free % 2] = _FD_STEP
-    lengths = np.diff(bounds)[seg]
-
-    def sweep(Z: np.ndarray, cols: slice, keep: bool = False) -> tuple:
-        """Starts, ends and (with keep, one point only) trajectories of the
-        columns cols of each point in Z."""
-        X = Z[:, seg[cols]] + offsets[cols]
-        steps = lengths[cols]
-        U, W, _ = _rk4_batch(spec, grid, np.tile(bounds[seg[cols]], len(Z)),
-                             np.tile(steps, len(Z)), X[..., 0].ravel(),
-                             X[..., 1].ravel(), keep)
-        traj = (U, W) if keep else None
-        if keep:
-            U, W = U[steps, np.arange(len(steps))], W[steps, np.arange(len(steps))]
-        return X, np.stack([U, W], axis=-1).reshape(X.shape), traj
-
-    def converged(z: np.ndarray, r: np.ndarray) -> bool:
-        return float(np.max(np.abs(r))) <= 1e-11 * (1.0 + float(np.max(np.abs(z))))
-
-    def answer(traj: tuple) -> GridFunction:
-        U, W = traj
-        node = np.arange(grid.n)
-        s = np.minimum(np.searchsorted(bounds, node, side="right") - 1, K - 1)
-        rows = node - bounds[s]
-        du = np.asarray(inverse(W[rows, s]), dtype=float)
-        return GridFunction(grid, U[rows, s], du)
-
-    v0 = np.asarray(inverse(starts[:, 1:]), dtype=float)
-    Z = np.stack([starts[:, :1] + v0 * grid.nodes[bounds[:-1]],
-                  np.repeat(starts[:, 1:], K, axis=1)], axis=-1)
-    X, E, traj = sweep(Z, slice(K), keep=len(Z) == 1)
-    R = _residual(rules, inverse, X, E)
-    score = np.where(np.isfinite(E).all(axis=(1, 2)), np.max(np.abs(R), axis=1), np.nan)
-    order = [j for j in np.argsort(score, kind="stable") if np.isfinite(score[j])]
-    for j in order:
-        if converged(Z[j].ravel()[rules.pinned:], R[j]):
-            return answer(traj or sweep(Z[j][None], slice(K), True)[2])
-
-    for j in order:
-        Xn, En, _ = sweep(Z[j][None], slice(K, None))
-        z, x, e, r = Z[j], np.vstack([X[j], Xn[0]]), np.vstack([E[j], En[0]]), R[j]
-        mark, mark_k = np.inf, 0
-        for k in range(_NEWTON_STEPS):
-            try:
-                lu = scipy.sparse.linalg.splu(_jacobian(rules, inverse, x, e, r))
-            except RuntimeError:  # exactly singular, or not finite
-                break
-            step = lu.solve(-r)
-            level = float(np.max(np.abs(step)))
-            if level <= _STALL_FACTOR * mark:
-                mark, mark_k = level, k
-            elif k - mark_k >= _NEWTON_STALL_STEPS:
-                break
-            alpha = 1.0
-            while alpha >= 2.0 ** -20:
-                trial = z.copy()
-                trial.ravel()[rules.pinned:] += alpha * step
-                Xt, Et, traj = sweep(trial[None], slice(None), True)
-                Rt = _residual(rules, inverse, Xt[:, :K], Et[:, :K])
-                if (np.isfinite(Et).all()
-                        and np.max(np.abs(lu.solve(Rt[0]))) < level):
-                    break
-                alpha /= 2.0
-            else:  # no trial improved on z
-                break
-            z, x, e, r = trial, Xt[0], Et[0], Rt[0]
-            if converged(z.ravel()[rules.pinned:], r):
-                return answer(traj)
-    raise OracleFailure("no Newton start converged in the shooting oracle")
+# solve_bvp's residual tolerance, boundary tolerance and initial mesh
+# size, and its node cap per grid node
+_BVP_TOL = 1e-8
+_BVP_BC_TOL = 1e-10
+_BVP_MESH = 11
+_BVP_NODES_PER_GRID_NODE = 100
 
 
 def shooting_oracle(spec: ProblemSpec) -> GridFunction:
-    """Solve the problem by RK4 multiple shooting on the same grid.
+    """Solve the problem by collocation: scipy's ``solve_bvp`` (Kierzenka &
+    Shampine, ACM TOMS 27, 2001) on u' = phi^{-1}(w), w' = f(t, u,
+    phi^{-1}(w)) in (u, w = phi(u')), w clipped to (-a, a) less EPS_DOM
+    for a bounded phi, with the class's boundary rows.
 
-    Completely independent of the fixed-point route: different
-    discretization family, different unknowns.  Intended for
-    cross-validation, not as the primary solver.
+    Each of the class's candidate starts (u(0), w(0)), nearest w = 0
+    first, seeds the initial mesh with w = w(0), u = u(0) + phi^{-1}(w(0))
+    t; the first that converges gives the answer, sampled on the grid.
+    solve_bvp is fourth-order collocation on its own adaptive mesh, so
+    this route shares no discretization code with ``solve``: intended for
+    cross-validation, not as the primary solver.  The name predates the
+    collocation; the benchmark, the tests and README call it.
+
+    Raises OracleFailure when no start converges.
     """
-    starts = _RULES[spec.problem].starts(spec.phi, spec.T)
-    return _shoot(spec, np.array(starts, dtype=float))
+    import scipy.integrate  # about 3 MB of modules that only this needs
+
+    grid = Grid(spec.T, spec.grid_n)
+    phi = spec.phi
+    rules = _RULES[spec.problem]
+    f = kernel(spec.f, lenient=True)
+    cap = (phi.a - EPS_DOM) if phi.kind is Kind.BOUNDED else np.inf
+
+    def slope(w: np.ndarray) -> np.ndarray:
+        return np.asarray(phi.inverse(np.clip(w, -cap, cap)), dtype=float)
+
+    def rhs(t: np.ndarray, y: np.ndarray) -> np.ndarray:
+        v = slope(y[1])
+        return np.stack([v, np.broadcast_to(f(t, y[0], v), v.shape)])
+
+    def bc(ya: np.ndarray, yb: np.ndarray) -> np.ndarray:
+        v0, vT = slope(np.array([ya[1], yb[1]]))
+        return np.array(rules.bc(ya[0], yb[0], v0, vT))
+
+    mesh = np.linspace(0.0, spec.T, _BVP_MESH)
+    for u0, w0 in sorted(rules.starts(phi, spec.T), key=lambda s: abs(s[1])):
+        guess = np.stack([u0 + slope(w0) * mesh, np.full(_BVP_MESH, w0)])
+        # a diverging trial iterate is data: solve_bvp reports its status
+        with np.errstate(all="ignore"):
+            sol = scipy.integrate.solve_bvp(
+                rhs, bc, mesh, guess, tol=_BVP_TOL, bc_tol=_BVP_BC_TOL,
+                max_nodes=_BVP_NODES_PER_GRID_NODE * grid.n)
+        # solve_bvp's own test lets a nan residual pass (nan > tol is false)
+        if sol.success and (sol.rms_residuals <= _BVP_TOL).all():
+            u, w = sol.sol(grid.nodes)
+            return GridFunction(grid, u, slope(w))
+    raise OracleFailure("no start converged in the collocation oracle")

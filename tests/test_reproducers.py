@@ -2,15 +2,16 @@
 
 Each row holds its ROADMAP item, its input and the outcome measured now,
 and asserts that outcome as it stands: a change that fixes a defect, or
-moves it, moves its row on purpose.  Item 15's row records its fix, the
-multiple-shooting oracle with segments of at most 10 steps.
+moves it, moves its row on purpose.  Item 15's row records its fix, an
+oracle whose reach does not depend on the grid: now scipy's collocation
+solver on its own adaptive mesh.
 """
 
 import numpy as np
 import pytest
 
-from phibvp import (ProblemClass, ProblemSpec, make_homeomorphism, parse_expr,
-                    shooting_oracle, solve)
+from phibvp import (NonConvergence, ProblemClass, ProblemSpec,
+                    make_homeomorphism, parse_expr, shooting_oracle, solve)
 from phibvp.certificates import check_growth, winding_number
 from phibvp.operators import AdmissibilityViolation
 
@@ -30,7 +31,9 @@ def item_4_spike():
 
 
 def item_11_two_roots():
-    # both routes converge, to different solutions of a problem with three
+    # a problem with three solutions: the oracle returns the root its first
+    # converging start reaches, which from w = 0 is now the solver's (the
+    # defect stands: no route sees the other two)
     s = spec(ProblemClass.THREEPOINT_CLASSIC, ("power", 4.0),
              "u^3 - u + 0.1*sin(6*t)", 1.0, tol_fp=1e-13)
     return round(float(np.max(np.abs(solve(s).solution.u - shooting_oracle(s).u))), 2)
@@ -44,8 +47,8 @@ def item_13_tilted_solve():
 
 
 def item_15_large_gain():
-    # single shooting's 41 starts all left phi's range before T; segments
-    # of at most 10 steps reach on every grid (measured gaps up to 4.1e-6)
+    # single shooting's 41 starts all left phi's range before T; the
+    # collocation oracle reaches on every grid (measured gaps up to 4.1e-6)
     gaps = []
     for n in (101, 201, 1001):
         for k in (20, 30, 40, 100):
@@ -54,6 +57,20 @@ def item_15_large_gain():
             gaps.append(float(np.max(np.abs(solve(s).solution.u
                                             - shooting_oracle(s).u))))
     return max(gaps) <= 1e-4
+
+
+def item_20_both_fail_draw():
+    # the paper guarantees a singular solution for every f; solve stalls
+    # (best residual 0.265), and the oracle finds one with max|u'| = 0.98a
+    s = spec(ProblemClass.THREEPOINT_SINGULAR, ("relativistic", 0.5),
+             "-3.107*sin(u) + -1.734*v + 1.26*cos(2.779*t) + -0.262", 4.0,
+             tol_fp=1e-12, grid_n=201)
+    try:
+        solve(s)
+        solved = "solved"
+    except NonConvergence:
+        solved = "NonConvergence"
+    return solved, round(float(shooting_oracle(s).u[0]), 4)
 
 
 def item_5_a_half_guard():
@@ -76,10 +93,14 @@ def item_7_nan_map():
 
 REPRODUCERS = [
     ("item 4", item_4_spike, "checked_on_grid"),
-    ("item 11", item_11_two_roots, 1.6),
+    # was 1.6, the gap to another root, while multiple shooting's best
+    # scored start led it there
+    ("item 11", item_11_two_roots, 0.0),
     ("item 13", item_13_tilted_solve, 930),
     # was OracleFailure at every n, then at n = 101 and 201 but for k = 20
     ("item 15", item_15_large_gain, True),
+    # the oracle raised OracleFailure too before the collocation oracle
+    ("item 20", item_20_both_fail_draw, ("NonConvergence", 0.0586)),
     ("item 5", item_5_a_half_guard, "AdmissibilityViolation"),
     ("item 7", item_7_nan_map, "map_fn is not finite at angle 0.0: (nan, 0.0)"),
 ]

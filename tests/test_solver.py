@@ -1,13 +1,17 @@
 """Solver tests: benchmarks with closed forms, the dual-route battery,
 diagnostics, and failure paths.
 
-The shooting oracle integrates the same ODE with RK4 plus root finding on
-the segment starts, sharing no discretization machinery with the fixed-point
-iteration, so sup-norm agreement between the two is a real check.
+The oracle solves the same ODE by scipy's collocation solver, sharing no
+discretization machinery with the fixed-point iteration, so sup-norm
+agreement between the two is a real check.
 """
 
 import logging
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +29,7 @@ from phibvp import (
 from phibvp import solver
 from phibvp.expr import eval_many
 from phibvp.function_space import Grid, l1_norm, zero_function
-from phibvp.homeomorphism import EPS_DOM, Kind
+from phibvp.homeomorphism import Kind
 from phibvp.operators import AdmissibilityViolation
 from phibvp.solver import MAX_ITER
 
@@ -405,350 +409,46 @@ def test_battery_class_invariants(cls, phi_args, f_src, T, res_cap, gap_cap):
         assert abs(trap_mean(w, spec.f)) <= 1e-8
 
 
-# ---------------------------------------------------------------- shooting
+# ------------------------------------------------------------------ oracle
 
 
-def _whole_grid(grid, m):
-    """Per-column start nodes and step counts of m runs over the grid."""
-    return np.zeros(m, dtype=int), np.full(m, grid.n - 1)
-
-
-def _sweep_columns_alone(spec, grid, u0, w0):
-    """RK4 batch of all initial states, and each state run by itself."""
-    U, W, bad = solver._rk4_batch(spec, grid, *_whole_grid(grid, len(u0)), u0, w0,
-                                  keep=True)
-    for j in range(len(u0)):
-        Uj, Wj, bj = solver._rk4_batch(spec, grid, *_whole_grid(grid, 1), u0[j:j + 1],
-                                       w0[j:j + 1], keep=True)
-        assert np.array_equal(U[:, j], Uj[:, 0], equal_nan=True)
-        assert np.array_equal(W[:, j], Wj[:, 0], equal_nan=True)
-        assert bad[j] == bj[0]
-    return bad
-
-
-@pytest.mark.parametrize("cls,phi_args,f_src,T,res_cap,gap_cap",
-                         BATTERY, ids=BATTERY_IDS)
-def test_rk4_batch_columns_equal_single_runs(cls, phi_args, f_src, T, res_cap,
-                                             gap_cap):
-    # the oracle reuses batch columns as if integrated alone
-    spec = make_spec(cls, phi_args, f_src, T)
-    w0 = spec.phi.forward(np.array([-0.4, 0.2, 0.45]))
-    bad = _sweep_columns_alone(spec, Grid(T, spec.grid_n),
-                               np.array([0.0, 0.3, -0.2]), w0)
-    assert not bad.any()
-
-
-def test_rk4_batch_invalid_columns_equal_single_runs():
-    # w' = -5 carries w0 < -0.5 out of the curvature range (-1, 1)
-    spec = make_spec(D, ("mean_curvature", 1.0), "-5", 0.1, grid_n=101)
-    bad = _sweep_columns_alone(spec, Grid(0.1, 101), np.zeros(41),
-                               np.linspace(-0.999, 0.999, 41))
-    assert 0 < bad.sum() < 41
-
-
-def reference_rk4_batch(spec, grid, u0, w0):
-    """The RK4 sweep as it was written first: one eval_many call and one
-    (u, w) pair of array updates per stage.  The stacked sweep must match
-    it bit for bit."""
-    phi = spec.phi
-    f = spec.f
-    n = grid.n
-    h = grid.h
-    bounded = phi.kind is Kind.BOUNDED
-    cap = (phi.a - EPS_DOM) if bounded else np.inf
-
-    u = np.array(u0, dtype=float)
-    w = np.array(w0, dtype=float)
-    m = u.shape[0]
-    U = np.empty((n, m))
-    W = np.empty((n, m))
-    U[0] = u
-    W[0] = w
-    invalid = np.zeros(m, dtype=bool)
-
-    def rhs(t, uu, ww):
-        nonlocal invalid
-        if bounded:
-            invalid |= np.abs(ww) > cap
-            ww = np.clip(ww, -cap, cap)
-        v = np.asarray(phi.inverse(ww), dtype=float)
-        dw = eval_many(f, t, uu, v, lenient=True)
-        return v, dw
-
-    for i in range(n - 1):
-        t = grid.nodes[i]
-        k1u, k1w = rhs(t, u, w)
-        k2u, k2w = rhs(t + 0.5 * h, u + 0.5 * h * k1u, w + 0.5 * h * k1w)
-        k3u, k3w = rhs(t + 0.5 * h, u + 0.5 * h * k2u, w + 0.5 * h * k2w)
-        k4u, k4w = rhs(t + h, u + h * k3u, w + h * k3w)
-        u = u + (h / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-        w = w + (h / 6.0) * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
-        U[i + 1] = u
-        W[i + 1] = w
-
-    invalid |= ~np.isfinite(U[-1]) | ~np.isfinite(W[-1])
-    U[:, invalid] = np.nan
-    W[:, invalid] = np.nan
-    return U, W, invalid
-
-
-def _assert_sweep_matches_reference(spec, u0, w0):
-    grid = Grid(spec.T, spec.grid_n)
-    got = solver._rk4_batch(spec, grid, *_whole_grid(grid, len(u0)), u0, w0,
-                            keep=True)
-    # the reference overflows outside any errstate on a faulting forcing
-    with np.errstate(all="ignore"):
-        want = reference_rk4_batch(spec, grid, u0, w0)
-    for a, b in zip(got, want):
-        assert np.array_equal(a, b, equal_nan=True)
-    return got[2]
-
-
-@pytest.mark.parametrize("cls,phi_args,f_src,T,res_cap,gap_cap",
-                         BATTERY, ids=BATTERY_IDS)
-def test_rk4_batch_matches_reference_on_battery(cls, phi_args, f_src, T, res_cap,
-                                                gap_cap):
-    spec = make_spec(cls, phi_args, f_src, T)
-    w0 = spec.phi.forward(np.array([-0.4, 0.2, 0.45]))
-    bad = _assert_sweep_matches_reference(spec, np.array([0.0, 0.3, -0.2]), w0)
-    assert not bad.any()
-
-
-def test_rk4_batch_matches_reference_on_invalid_scan():
-    # w' = -5 carries w0 < -0.5 out of the curvature range (-1, 1)
-    spec = make_spec(D, ("mean_curvature", 1.0), "-5", 0.1, grid_n=101)
-    bad = _assert_sweep_matches_reference(spec, np.zeros(41),
-                                          np.linspace(-0.999, 0.999, 41))
-    assert 0 < bad.sum() < 41
-
-
-@pytest.mark.parametrize("f_src,faults", [
-    ("cos(t)", False),  # the kernel's result is 0-d, broadcast to the batch
-    ("1/t", True),      # lenient faults at t = 0: inf, then nan
-    ("t/t", True),
-    # t enters the kernel as an array, one entry per column, and the
-    # reference's as a 0-d array: both take numpy's array power, where a
-    # numpy float would take its scalar power, which can differ in the last bit
-    ("t^t + u", False),
-], ids=["cos_t", "one_over_t", "t_over_t", "t_pow_t"])
-def test_rk4_batch_matches_reference_on_t_forcings(f_src, faults):
-    spec = make_spec(C, ("identity",), f_src, 1.0, grid_n=101)
-    bad = _assert_sweep_matches_reference(spec, np.array([0.0, 0.5, -1.0]),
-                                          np.array([0.0, 1.0, 0.25]))
-    assert bad.all() == faults and bad.any() == faults
-
-
-def test_rk4_batch_flags_overflow_without_a_warning():
-    # the sweep's own arithmetic overflows; tier-1 turns a RuntimeWarning
-    # into an error, and a diverging trial trajectory is data
-    spec = make_spec(C, ("identity",), "1.5e308", 1.0, grid_n=101)
-    grid = Grid(1.0, 101)
-    U, W, bad = solver._rk4_batch(spec, grid, *_whole_grid(grid, 2),
-                                  np.array([0.0, 1.0]), np.array([0.0, 1.0]),
-                                  keep=True)
-    assert bad.all()
-    assert np.isnan(U).all() and np.isnan(W).all()
-
-
-def test_rk4_batch_ends_are_each_columns_own_row():
-    # columns with their own start node and step count, as segments have:
-    # without keep the sweep returns each column's end, which is row
-    # steps[c] of its trajectory and the end of the column run alone
-    spec = make_spec(C, ("power", 4.0), "-v/2 + cos(t)/4", 1.0, grid_n=101)
-    grid = Grid(1.0, 101)
-    start = np.array([0, 0, 25, 50, 50])
-    steps = np.array([50, 49, 50, 50, 49])
-    u0 = np.array([0.1, -0.2, 0.3, 0.0, 1.0])
-    w0 = np.array([0.5, 0.0, -1.0, 2.0, 0.25])
-    U, W, bad = solver._rk4_batch(spec, grid, start, steps, u0, w0, keep=True)
-    u, w, b = solver._rk4_batch(spec, grid, start, steps, u0, w0)
-    cols = np.arange(len(u0))
-    assert U.shape == (51, 5) and u.shape == (5,)
-    assert np.array_equal(u, U[steps, cols]) and np.array_equal(w, W[steps, cols])
-    assert np.array_equal(b, bad) and not bad.any()
-    for c in cols:
-        uc, wc, _ = solver._rk4_batch(spec, grid, start[c:c + 1], steps[c:c + 1],
-                                      u0[c:c + 1], w0[c:c + 1])
-        assert uc[0] == u[c] and wc[0] == w[c]
-
-
-@pytest.mark.parametrize("keep", [False, True])
-def test_rk4_batch_flags_a_column_by_its_own_steps_alone(keep):
-    # w' = -5 carries w0 = -0.7 out of the curvature range (-1, 1) after
-    # t = 0.06; a column that ends at t = 0.05 stays valid, though the
-    # sweep runs on to t = 0.1 for the other
-    spec = make_spec(D, ("mean_curvature", 1.0), "-5", 1.0, grid_n=101)
-    U, W, bad = solver._rk4_batch(spec, Grid(1.0, 101), np.zeros(2, dtype=int),
-                                  np.array([5, 10]), np.zeros(2), np.full(2, -0.7),
-                                  keep=keep)
-    assert bad.tolist() == [False, True]
-    end = W[5, 0] if keep else W[0]
-    assert abs(end + 0.95) <= 1e-12
-    assert np.isnan(W[..., 1]).all()
-
-
-# RK4 sweeps per oracle call on each BATTERY family, at the measured
-# counts: the candidate sweep, the best start's FD neighbours, then one per
-# damped Newton trial ([4, 4, 4, 4, 4, 6, 2] with segments of 100 steps,
-# whose candidate sweep took every neighbour too)
-SWEEPS = [4, 4, 5, 5, 5, 7, 3]
-
-
-@pytest.mark.parametrize("family,sweeps", list(zip(BATTERY, SWEEPS)),
-                         ids=BATTERY_IDS)
-def test_oracle_integrates_no_state_twice(monkeypatch, family, sweeps):
-    cls, phi_args, f_src, T, *_ = family
-    recorded = []
-    rk4 = solver._rk4_batch
-
-    def recording(spec, grid, start, steps, u0, w0, keep=False):
-        out = rk4(spec, grid, start, steps, u0, w0, keep)
-        recorded.append((list(zip(start.tolist(), u0.tolist(), w0.tolist())),
-                         keep, out))
-        return out
-
-    monkeypatch.setattr(solver, "_rk4_batch", recording)
-    spec = make_spec(cls, phi_args, f_src, T)
-    w = shooting_oracle(spec)
-    states = [s for batch, _, _ in recorded for s in batch]
-    assert len(set(states)) == len(states)
-    assert len(recorded) == sweeps
-    # the candidate and neighbour sweeps keep only the segment ends; a
-    # trial keeps its trajectories, and the last one makes the answer
-    assert [keep for _, keep, _ in recorded] == [False] * 2 + [True] * (sweeps - 2)
-    U, W, _ = recorded[-1][2]
-    K = 1000 // solver._SEGMENT_STEPS  # equal segments on the 1001-node grid
-    assert np.array_equal(w.u[:-1], U[:-1, :K].T.ravel()) and w.u[-1] == U[-1, K - 1]
-    again = shooting_oracle(spec)
+@pytest.mark.parametrize("family", BATTERY, ids=BATTERY_IDS)
+def test_oracle_is_deterministic(family):
+    spec = make_spec(*family[:4])
+    w, again = shooting_oracle(spec), shooting_oracle(spec)
     assert np.array_equal(again.u, w.u) and np.array_equal(again.du, w.du)
 
 
-def test_oracle_gives_up_on_a_stalled_start(monkeypatch):
-    # u'(T) = u'(0) needs the integral of t - 0.5 over [0, T] to vanish, so
-    # no solution exists for T = 0.5; each Newton start must stop once its
-    # residual has not halved in 5 steps, not after 60, and the search
-    # runs once, on the requested grid
-    rk4 = solver._rk4_batch
-    sweeps = []
-
-    def counting(spec, grid, *args, **kw):
-        sweeps.append(grid.n)
-        return rk4(spec, grid, *args, **kw)
-
-    monkeypatch.setattr(solver, "_rk4_batch", counting)
-    spec = make_spec(C, ("power", 4.0), "t - 0.5", 0.5, grid_n=201)
+@pytest.mark.parametrize("phi_args,f_src,T,n", [
+    # u'(T) = u'(0) needs the integral of t - 0.5 over [0, T] to vanish
+    (("power", 4.0), "t - 0.5", 0.5, 201),
+    # (u')' = 1 makes u'(T) - u'(0) = T; a stop test relative to the
+    # unknowns would accept a runaway iterate with |u| ~ 1e10 here
+    (("identity",), "1", 1.0, 1001),
+    # u'' = exp(u) > 0 leaves u'(T) > u'(0); solve_bvp reports success
+    # from one start, on a runaway iterate whose residual is nan
+    (("identity",), "exp(u)", 1.0, 1001),
+], ids=["power", "identity", "identity_exp"])
+def test_oracle_fails_where_no_solution_exists(phi_args, f_src, T, n):
     with pytest.raises(OracleFailure):
-        shooting_oracle(spec)
-    # measured; 49 with 2 segments of 100 steps, 180 + 180 on two grids
-    # before that
-    assert sweeps == [201] * 53
+        shooting_oracle(make_spec(C, phi_args, f_src, T, grid_n=n))
 
 
-def test_oracle_abandons_a_start_whose_jacobian_is_singular(monkeypatch):
-    # an FD step below the rounding of the unknowns leaves every neighbour
-    # where its point is: the Jacobian is exactly singular at each
-    # candidate, so no Newton step is tried and the oracle fails cleanly
-    # after the candidate sweep and one neighbour sweep for each of the 39
-    # candidates (of 41) that stay in phi's range (1 sweep in all when
-    # the candidate sweep took every neighbour)
-    rk4 = solver._rk4_batch
-    sweeps = []
-
-    def counting(spec, grid, start, steps, u0, w0, keep=False):
-        sweeps.append(keep)
-        return rk4(spec, grid, start, steps, u0, w0, keep)
-
-    monkeypatch.setattr(solver, "_rk4_batch", counting)
-    monkeypatch.setattr(solver, "_FD_STEP", 1e-300)
-    with pytest.raises(OracleFailure):
-        shooting_oracle(make_spec(*BATTERY[0][:4]))
-    assert sweeps == [False] * (1 + 39)
-
-
-def test_oracle_abandons_a_start_whose_trials_all_fail(monkeypatch):
-    # every trial comes back nan-filled, so each start sweeps its
-    # neighbours, halves alpha from 1 down to 2^-20, 21 trials, and then
-    # gives up
-    rk4 = solver._rk4_batch
-    sweeps = []
-
-    def failing(spec, grid, start, steps, u0, w0, keep=False):
-        U, W, bad = rk4(spec, grid, start, steps, u0, w0, keep)
-        sweeps.append(keep)
-        if keep:
-            U[:], W[:], bad[:] = np.nan, np.nan, True
-        return U, W, bad
-
-    monkeypatch.setattr(solver, "_rk4_batch", failing)
-    with pytest.raises(OracleFailure):
-        shooting_oracle(make_spec(*BATTERY[2][:4]))
-    # five singular-class starts; [False] + [True] * 105 when the candidate
-    # sweep took every neighbour
-    assert sweeps == [False] + ([False] + [True] * 21) * 5
-
-
-@pytest.mark.parametrize("n", [3, 4, 102, 1000, 1002])
-@pytest.mark.parametrize("family", [BATTERY[1], BATTERY[3], BATTERY[5]],
-                         ids=[BATTERY_IDS[1], BATTERY_IDS[3], BATTERY_IDS[5]])
-def test_multiple_shooting_agrees_with_one_segment(monkeypatch, family, n):
-    # segments of unequal length where n - 1 is prime (1,000 nodes: 999
-    # steps in 10 segments) or not a multiple of their count (1,002 nodes:
-    # 1,001 steps in 11); one segment from the same root must agree
-    cls, phi_args, f_src, T, *_ = family
-    spec = make_spec(cls, phi_args, f_src, T, grid_n=n)
-    w = shooting_oracle(spec)
-    root = np.array([[w.u[0], float(spec.phi.forward(w.du[0]))]])
-    monkeypatch.setattr(solver, "_SEGMENT_STEPS", n - 1)
-    one = solver._shoot(spec, root)
-    assert np.max(np.abs(w.u - one.u)) <= 1e-9
-    assert np.max(np.abs(w.du - one.du)) <= 1e-9
-
-
-def full_stack_jacobian(rules, inverse, x, e, r):
-    # the reference: the dense FD Jacobian of the whole residual, every
-    # neighbour's segment starts and ends stacked whole, each residual minus r
-    K = (len(r) + rules.pinned) // 2
-    free = np.arange(rules.pinned, 2 * K)
-    S, ends = np.repeat(np.stack([x[:K], e[:K]])[:, None], len(free), axis=1)
-    S[np.arange(len(free)), free // 2] = x[K:]
-    ends[np.arange(len(free)), free // 2] = e[K:]
-    return (solver._residual(rules, inverse, S, ends) - r).T / solver._FD_STEP
-
-
-@pytest.mark.parametrize("one_segment", [False, True], ids=["segments", "one"])
-@pytest.mark.parametrize("family", [BATTERY[0], BATTERY[2], BATTERY[5]],
-                         ids=[BATTERY_IDS[0], BATTERY_IDS[2], BATTERY_IDS[5]])
-def test_block_jacobian_is_the_full_stack_jacobian(monkeypatch, family, one_segment):
-    # at n = 102, 101 steps make 11 segments of 9 and 10 steps; with one
-    # segment its unknowns reach the boundary rows through start and end
-    cls, phi_args, f_src, T, *_ = family
-    spec = make_spec(cls, phi_args, f_src, T, grid_n=102)
-    if one_segment:
-        monkeypatch.setattr(solver, "_SEGMENT_STEPS", 101)
-    built = []
-    jacobian = solver._jacobian
-
-    def recording(rules, inverse, x, e, r):
-        J = jacobian(rules, inverse, x, e, r)
-        built.append((J, full_stack_jacobian(rules, inverse, x, e, r)))
-        return J
-
-    monkeypatch.setattr(solver, "_jacobian", recording)
-    shooting_oracle(spec)
-    assert built
-    for J, dense in built:
-        assert J.shape == dense.shape == (2 * (1 if one_segment else 11) - (cls is D),) * 2
-        assert np.allclose(J.toarray(), dense, rtol=0.0, atol=1e-8)
-        # O(K) entries: two gap rows and a -1 a column, and boundary rows
-        # in the first and last segments' columns alone
-        assert J.nnz <= 3 * J.shape[0] + 4
+def test_import_leaves_the_oracles_scipy_module_unloaded():
+    # scipy.integrate is about 3 MB of modules that only the oracle needs;
+    # a run that never cross-checks must not pay for them
+    code = "import sys, phibvp; print('scipy.integrate' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(solver.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.stdout == "False\n"
 
 
 @pytest.mark.parametrize("family", [BATTERY[0], BATTERY[5]],
                          ids=[BATTERY_IDS[0], BATTERY_IDS[5]])
 def test_oracle_cost_stays_linear_in_the_segment_count(family):
-    # 20,001 nodes make 2,000 segments: a dense Jacobian alone would take
-    # 128 MB, the sparse one and the sweeps a few
+    # 20,001 grid nodes: a dense Jacobian of that size alone would take
+    # 128 MB; solve_bvp's mesh adapts to the solution, not to the grid
     cls, phi_args, f_src, T, *_ = family
     spec = make_spec(cls, phi_args, f_src, T, grid_n=20001, tol_fp=1e-12)
     report = solve(spec)
@@ -758,7 +458,9 @@ def test_oracle_cost_stays_linear_in_the_segment_count(family):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 32 * 2 ** 20  # measured 18.8 MB (Dirichlet), 5.1 MB (classic)
+    # measured 1.1 MB on each family, 4.2 MB (Dirichlet) when the call also
+    # imports scipy.integrate; RK4 multiple shooting took 18.8 MB
+    assert peak < 32 * 2 ** 20
     assert np.max(np.abs(w.u - report.solution.u)) <= 1e-4
 
 
