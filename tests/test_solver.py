@@ -419,6 +419,82 @@ def test_oracle_is_deterministic(family):
     assert np.array_equal(again.u, w.u) and np.array_equal(again.du, w.du)
 
 
+def record_bvp_calls(monkeypatch, spoil=lambda i, sol: None):
+    """Record each solve_bvp call of the oracle as (start, max_nodes, sol);
+    spoil(i, sol) may alter the i-th result before the oracle sees it."""
+    import scipy.integrate
+
+    bvp = scipy.integrate.solve_bvp
+    calls = []
+
+    def recording(fun, bc, x, y, **kw):
+        sol = bvp(fun, bc, x, y, **kw)
+        spoil(len(calls), sol)
+        calls.append(((float(y[0, 0]), float(y[1, 0])), kw["max_nodes"], sol))
+        return sol
+
+    monkeypatch.setattr(scipy.integrate, "solve_bvp", recording)
+    return calls
+
+
+@pytest.mark.parametrize("family", BATTERY, ids=BATTERY_IDS)
+def test_oracle_integrates_no_state_twice(monkeypatch, family):
+    # the w = 0 start converges on every family (measured), and its
+    # collocation solution is the answer: no start is solved again
+    calls = record_bvp_calls(monkeypatch)
+    w = shooting_oracle(make_spec(*family[:4]))
+    assert [start for start, _, _ in calls] == [(0.0, 0.0)]
+    u, _ = calls[0][2].sol(w.grid.nodes)
+    assert np.array_equal(w.u, u)
+
+
+def test_oracle_gives_up_on_a_stalled_start(monkeypatch):
+    # u'(T) = u'(0) needs the integral of t - 0.5 over [0, T] to vanish, so
+    # no solution exists for T = 0.5; each of the nine classic starts is
+    # tried once, nearest w = 0 first, with the node cap of the requested
+    # grid, and each stops on its own (a singular collocation Jacobian,
+    # measured)
+    spec = make_spec(C, ("power", 4.0), "t - 0.5", 0.5, grid_n=201)
+    calls = record_bvp_calls(monkeypatch)
+    with pytest.raises(OracleFailure):
+        shooting_oracle(spec)
+    starts = [start for start, _, _ in calls]
+    assert sorted(starts) == sorted(solver._RULES[C].starts(spec.phi, spec.T))
+    assert len(set(starts)) == len(starts) == 9
+    assert [abs(w0) for _, w0 in starts] == sorted(abs(w0) for _, w0 in starts)
+    assert {nodes for _, nodes, _ in calls} == {solver._BVP_NODES_PER_GRID_NODE * 201}
+    assert not any(sol.success for _, _, sol in calls)
+
+
+def test_oracle_abandons_a_start_whose_jacobian_is_singular(monkeypatch):
+    # the first start comes back as solve_bvp reports a singular
+    # collocation Jacobian; the oracle moves on, and the next start's
+    # answer still solves the problem
+    def singular(i, sol):
+        if i == 0:
+            sol.status, sol.success = 2, False
+
+    spec = make_spec(*BATTERY[0][:4])
+    calls = record_bvp_calls(monkeypatch, singular)
+    w = shooting_oracle(spec)
+    assert len(calls) == 2 and calls[1][2].success
+    assert np.max(np.abs(w.u - solve(spec).solution.u)) <= BATTERY[0][5]
+
+
+def test_oracle_abandons_a_start_whose_trials_all_fail(monkeypatch):
+    # solve_bvp reports success on nan residuals (nan > tol is false); a
+    # start whose collocation residuals are all nan must not be the answer
+    def nan_filled(i, sol):
+        if i == 0:
+            sol.rms_residuals[:] = np.nan
+
+    spec = make_spec(*BATTERY[2][:4])
+    calls = record_bvp_calls(monkeypatch, nan_filled)
+    w = shooting_oracle(spec)
+    assert len(calls) == 2 and calls[0][2].success
+    assert np.max(np.abs(w.u - solve(spec).solution.u)) <= BATTERY[2][5]
+
+
 @pytest.mark.parametrize("phi_args,f_src,T,n", [
     # u'(T) = u'(0) needs the integral of t - 0.5 over [0, T] to vanish
     (("power", 4.0), "t - 0.5", 0.5, 201),
