@@ -63,7 +63,7 @@ class InconsistentDerivative(Exception):
 
 @dataclass(frozen=True)
 class Verdict:
-    status: str  # "checked_on_grid" | "failed_at" | "not_applicable"
+    status: str  # checked_on_grid, failed_at, not_applicable, unconditional
     witness: tuple[float, float, float] | None = None
     detail: str = ""
 
@@ -72,7 +72,18 @@ class Verdict:
         return self.status == "checked_on_grid"
 
 
-def _check_vars(e: Expr, allowed: frozenset[str], what: str) -> None:
+# the variables each problem-file expression key may use
+EXPR_VARS = {
+    "f": frozenset(VARIABLES),
+    "h": frozenset({"t"}),
+    "n": frozenset({"u"}),
+    "dn": frozenset({"u"}),
+    "c": frozenset({"t"}),
+}
+
+
+def _check_vars(e: Expr, what: str) -> None:
+    allowed = EXPR_VARS[what]
     used = variables(e)
     if not used <= allowed:
         extra = ", ".join(sorted(used - allowed))
@@ -199,9 +210,9 @@ def check_growth(phi: Homeomorphism, f: Expr, h: Expr, n: Expr, dn: Expr,
     """
     if phi.kind is not Kind.BOUNDED:
         raise ValueError("growth certificates need a bounded-range phi")
-    _check_vars(h, frozenset({"t"}), "h")
-    _check_vars(n, frozenset({"u"}), "n")
-    _check_vars(dn, frozenset({"u"}), "dn")
+    _check_vars(h, "h")
+    _check_vars(n, "n")
+    _check_vars(dn, "dn")
 
     tgrid = Grid(T, DEFAULT_SAMPLES)
     ts = tgrid.nodes
@@ -293,7 +304,7 @@ def check_signs(phi: Homeomorphism, f: Expr, m1: float, m2: float, c: Expr,
             raise ValueError(f"{name} must be finite, got {m!r}")
     if not m1 < m2:
         raise ValueError(f"need m1 < m2, got {m1!r} >= {m2!r}")
-    _check_vars(c, frozenset({"t"}), "c")
+    _check_vars(c, "c")
 
     L = max(abs(float(phi.forward(m1))), abs(float(phi.forward(m2))))
 

@@ -29,9 +29,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .certificates import (BoundaryZero, InconsistentDerivative, Verdict,
-                           _report_text, brouwer_degree, check_growth,
-                           check_signs, eval_profile)
+from .certificates import (EXPR_VARS, BoundaryZero, InconsistentDerivative,
+                           Verdict, _report_text, brouwer_degree,
+                           check_growth, check_signs, eval_profile)
 # eval_many is unused here, but bench/tracing.py patches this name
 from .expr import ParseError, eval_many, parse_expr, variables  # noqa: F401
 from .function_space import DEFAULT_N, Grid
@@ -51,14 +51,6 @@ KNOWN_KEYS = frozenset({
     "problem", "phi", "T", "f", "grid_n", "h", "n", "dn", "c",
     "m1", "m2", "rho", "lambda_step", "tol",
 })
-
-_EXPR_VARS = {
-    "f": frozenset({"t", "u", "v"}),
-    "h": frozenset({"t"}),
-    "n": frozenset({"u"}),
-    "dn": frozenset({"u"}),
-    "c": frozenset({"t"}),
-}
 
 _PROBLEM_NAMES = {p.value: p for p in ProblemClass}
 
@@ -142,7 +134,7 @@ class _Problem:
             e = parse_expr(src)
         except ParseError as exc:
             raise ProblemFileError(self.path, 0, f"{key}: {exc}") from exc
-        allowed = _EXPR_VARS[key]
+        allowed = EXPR_VARS[key]
         used = variables(e)
         if not used <= allowed:
             extra = ", ".join(sorted(used - allowed))

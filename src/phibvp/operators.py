@@ -29,12 +29,12 @@ QPHI_MAX_ITER = 200
 
 
 class BoundedPreconditionError(Exception):
-    """For a bounded-range phi the shift equation needs sup|h| < a/2."""
+    """For a bounded-range phi the shift needs osc h below a - EPS_DOM."""
 
-    def __init__(self, sup_h: float, half_a: float):
-        self.sup_h = sup_h
-        self.half_a = half_a
-        super().__init__(f"sup|h| = {sup_h!r} is not below a/2 = {half_a!r}")
+    def __init__(self, osc: float, bound: float):
+        self.osc = osc
+        self.bound = bound
+        super().__init__(f"osc h = {osc!r} is not below a - EPS_DOM = {bound!r}")
 
 
 class NoSignChangeError(Exception):
@@ -43,14 +43,14 @@ class NoSignChangeError(Exception):
 
 
 class AdmissibilityViolation(Exception):
-    """An iterate left the open set where the Dirichlet map is defined."""
+    """An iterate's load g left the map's domain: osc g reached a - EPS_DOM."""
 
-    def __init__(self, value: float, bound: float, lam: float):
-        self.value = value
+    def __init__(self, osc: float, bound: float, lam: float):
+        self.osc = osc
         self.bound = bound
         self.lam = lam
         super().__init__(f"iterate inadmissible at lambda={lam!r}: "
-                         f"sup-norm {value!r} reaches bound {bound!r}")
+                         f"oscillation {osc!r} reaches bound {bound!r}")
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,7 @@ def q_phi(phi: Homeomorphism, grid: Grid, h: np.ndarray) -> QphiResult:
 
     G is strictly decreasing with G(min h) >= 0 >= G(max h), so the
     bracket is [min h, max h].  For a bounded-range phi the arguments
-    h - s stay in (-a, a) because sup|h| < a/2 is required up front.
+    h - s stay in (-a, a) as osc h < a - EPS_DOM is required up front.
     Newton steps on G' = -integral of phi.inverse_slope(h - s), the
     closed-form slope every Homeomorphism carries, start at mean(h) (min h
     if that overflows).  Each G(s) narrows the bracket by its sign, and a
@@ -122,10 +122,8 @@ def q_phi(phi: Homeomorphism, grid: Grid, h: np.ndarray) -> QphiResult:
         raise ValueError("h must be finite")
     hm = float(h.min())
     hM = float(h.max())
-    if phi.kind is Kind.BOUNDED:
-        sup_h = max(abs(hm), abs(hM))
-        if sup_h >= phi.a / 2.0:
-            raise BoundedPreconditionError(sup_h, phi.a / 2.0)
+    if phi.kind is Kind.BOUNDED and hM - hm >= phi.a - EPS_DOM:
+        raise BoundedPreconditionError(hM - hm, phi.a - EPS_DOM)
 
     scale = max(1.0, abs(hm), abs(hM))
     xtol = 4e-16 * scale
@@ -183,10 +181,10 @@ def dirichlet_map(phi: Homeomorphism, f: Expr, w: GridFunction,
                   lam: float = 1.0) -> GridFunction:
     """One application of the Dirichlet fixed-point map.
 
-    g = lam * integral_0^t f(., w, w'); requires sup|g| < a/2 (membership
-    in the open set the map is defined on), then returns the primitive of
-    phi^{-1}(g - s) with s chosen so both endpoint values vanish.  The
-    sub-ulp root-finding residual is folded into a linear correction so
+    g = lam * integral_0^t f(., w, w'); returns the primitive of
+    phi^{-1}(g - s), s = q_phi(g), so both endpoint values vanish; where
+    q_phi refuses g (osc g >= a - EPS_DOM) raises AdmissibilityViolation.
+    The sub-ulp root-finding residual is folded into a linear correction so
     the first and last node of the output are exactly zero.
     """
     if phi.kind is not Kind.BOUNDED:
@@ -195,13 +193,10 @@ def dirichlet_map(phi: Homeomorphism, f: Expr, w: GridFunction,
         raise ValueError(f"lambda must lie in [0, 1], got {lam}")
     grid = w.grid
     g = lam * cumulative_integral_from_0(grid, nemytskii(f, w))
-    sup_g = sup_norm(g)
-    if sup_g >= phi.a / 2.0:
-        raise AdmissibilityViolation(sup_g, phi.a / 2.0, lam)
-    shift = q_phi(phi, grid, g)
-    worst = sup_norm(g - shift.s)
-    if worst > phi.a - EPS_DOM:
-        raise AdmissibilityViolation(worst, phi.a, lam)
+    try:
+        shift = q_phi(phi, grid, g)
+    except BoundedPreconditionError as exc:
+        raise AdmissibilityViolation(exc.osc, exc.bound, lam) from None
     u = cumulative_integral_from_0(grid, shift.inverse)
     u = u - u[-1] * (grid.nodes / grid.T)
     return GridFunction(grid, u, shift.inverse)

@@ -46,7 +46,6 @@ from .function_space import (
     GridFunction,
     cumulative_integral_from_0,
     l1_norm,
-    sup_norm,
     zero_function,
 )
 from .homeomorphism import EPS_DOM, Homeomorphism, Kind
@@ -151,7 +150,7 @@ class SolveReport:
     fp_residual is the integral norm of u - M(u) at the final iterate
     (undamped map gap, not the damped step size); ode_residual the sup of
     the centered-difference defect over interior nodes; omega_margin the
-    slack of the admissibility bound where phi is bounded, None elsewhere.
+    slack a - EPS_DOM - osc g of q_phi's test on the load g, else None.
     """
 
     solution: GridFunction
@@ -345,7 +344,7 @@ def _build_report(spec: ProblemSpec, u: GridFunction, path: list[tuple[float, in
     try:
         if spec.phi.kind is Kind.BOUNDED:
             g = cumulative_integral_from_0(u.grid, nemytskii(spec.f, u))
-            margin = spec.phi.a / 2.0 - sup_norm(g)
+            margin = spec.phi.a - EPS_DOM - float(np.ptp(g))
         ode_res = ode_residual(spec.phi, spec.f, u)
     except EvalDomainError:
         pass
@@ -441,12 +440,12 @@ def solve(spec: ProblemSpec) -> SolveReport:
 
 # ------------------------------------------------------------------ oracle
 
-# solve_bvp's residual tolerance, boundary tolerance and initial mesh
-# size, and its node cap per grid node
+# solve_bvp's residual tolerance, boundary tolerance, initial mesh size
+# and node cap, which the requested grid's size does not enter
 _BVP_TOL = 1e-8
 _BVP_BC_TOL = 1e-10
 _BVP_MESH = 11
-_BVP_NODES_PER_GRID_NODE = 100
+_BVP_MAX_NODES = 100_000
 
 
 def shooting_oracle(spec: ProblemSpec) -> GridFunction:
@@ -491,7 +490,7 @@ def shooting_oracle(spec: ProblemSpec) -> GridFunction:
         with np.errstate(all="ignore"):
             sol = scipy.integrate.solve_bvp(
                 rhs, bc, mesh, guess, tol=_BVP_TOL, bc_tol=_BVP_BC_TOL,
-                max_nodes=_BVP_NODES_PER_GRID_NODE * grid.n)
+                max_nodes=_BVP_MAX_NODES)
         # solve_bvp's own test lets a nan residual pass (nan > tol is false)
         if sol.success and (sol.rms_residuals <= _BVP_TOL).all():
             u, w = sol.sol(grid.nodes)

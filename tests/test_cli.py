@@ -569,12 +569,12 @@ PROBLEMS_DIR = Path(__file__).resolve().parent.parent / "problems"
 
 # every shipped file under every subcommand, with its exit code: a file
 # that lacks a subcommand's keys (or, classic_cubic.txt, has rho = 0) is
-# bad input (4); qphi refuses dirichlet_short.txt's h, as sup|h| = 4 is not
-# below a/2 (5)
+# bad input (4); qphi accepts dirichlet_short.txt's h = 4, whose
+# oscillation 0 is below a, and its shift is s = 4.0
 SHIPPED = [
     ("solve", "dirichlet_short.txt", EXIT_OK),
     ("check", "dirichlet_short.txt", EXIT_OK),
-    ("qphi", "dirichlet_short.txt", EXIT_GUARD),
+    ("qphi", "dirichlet_short.txt", EXIT_OK),
     ("degree", "dirichlet_short.txt", EXIT_BAD_INPUT),
     ("solve", "classic_cubic.txt", EXIT_OK),
     ("check", "classic_cubic.txt", EXIT_OK),

@@ -16,6 +16,7 @@ from phibvp.function_space import (
     zero_function,
 )
 from phibvp.homeomorphism import (
+    EPS_DOM,
     identity,
     make_homeomorphism,
     mean_curvature,
@@ -122,12 +123,17 @@ def test_qphi_linear_profile_shift():
 
 
 def test_qphi_bounded_precondition():
+    # s lies in [min h, max h], so h - s stays in (-a, a) while osc h < a:
+    # the bound is a - EPS_DOM on the oscillation, not a/2 on sup|h|
     phi = mean_curvature(1.0)
     grid = Grid(1.0, 101)
-    with pytest.raises(BoundedPreconditionError):
-        q_phi(phi, grid, np.full(101, 0.5))  # sup = a/2 exactly: rejected
+    assert q_phi(phi, grid, np.full(101, 0.5)).s == 0.5
+    assert 0.9 < q_phi(phi, grid, 0.9 + 0.05 * grid.nodes).s < 0.95
+    with pytest.raises(BoundedPreconditionError) as ei:
+        q_phi(phi, grid, (1.0 - EPS_DOM) * grid.nodes)  # osc = a - EPS_DOM
+    assert ei.value.osc == ei.value.bound == 1.0 - EPS_DOM
     # just inside the bound is fine
-    q_phi(phi, grid, np.full(101, 0.4999))
+    q_phi(phi, grid, 0.9999 * grid.nodes)
 
 
 def test_qphi_keeps_no_reference_to_h():
@@ -283,7 +289,8 @@ def test_dirichlet_map_first_iterate_closed_form():
 
 
 def test_dirichlet_map_admissibility_guard():
-    # constant f = 5 over T = 0.3 drives the inner integral to 1.5 > a/2
+    # constant f = 5 over T = 0.3 drives the inner integral's oscillation
+    # to 1.5 > a
     phi = mean_curvature(1.0)
     grid = Grid(0.3, 101)
     with pytest.raises(AdmissibilityViolation):

@@ -73,15 +73,18 @@ def item_20_both_fail_draw():
     return solved, round(float(shooting_oracle(s).u[0]), 4)
 
 
-def item_5_a_half_guard():
-    # osc g < a would do; sup |g| < a/2 refuses a problem with a solution
-    s = spec(ProblemClass.DIRICHLET_BOUNDED, ("mean_curvature", 1.0), "10*u - 1",
+def item_5_osc_guard():
+    # G(s) is finite for s in (max g - a, min g + a), so osc g < 2a would
+    # do; osc g < a refuses f = 1.99 at lambda = 0.503, where osc g = 1.99
+    # lambda reaches a, though the oracle solves it (u(0) = 0, max|u'| 9.96)
+    s = spec(ProblemClass.DIRICHLET_BOUNDED, ("mean_curvature", 1.0), "1.99",
              1.0, tol_fp=1e-12)
+    steepest = round(float(np.max(np.abs(shooting_oracle(s).du))), 2)
     try:
         solve(s)
-    except AdmissibilityViolation:
-        return "AdmissibilityViolation"
-    return "solved"
+    except AdmissibilityViolation as exc:
+        return "AdmissibilityViolation", round(exc.lam, 3), steepest
+    return "solved", None, steepest
 
 
 def item_7_nan_map():
@@ -101,7 +104,8 @@ REPRODUCERS = [
     ("item 15", item_15_large_gain, True),
     # the oracle raised OracleFailure too before the collocation oracle
     ("item 20", item_20_both_fail_draw, ("NonConvergence", 0.0586)),
-    ("item 5", item_5_a_half_guard, "AdmissibilityViolation"),
+    # was f = 10*u - 1, refused by sup|g| < a/2 and solved since
+    ("item 5", item_5_osc_guard, ("AdmissibilityViolation", 0.503, 9.96)),
     ("item 7", item_7_nan_map, "map_fn is not finite at angle 0.0: (nan, 0.0)"),
 ]
 
