@@ -84,10 +84,9 @@ EXPR_VARS = {
 
 def _check_vars(e: Expr, what: str) -> None:
     allowed = EXPR_VARS[what]
-    used = variables(e)
-    if not used <= allowed:
-        extra = ", ".join(sorted(used - allowed))
-        raise ValueError(f"{what} may only use {set(allowed) or '{}'}: uses {extra}")
+    extra = ", ".join(sorted(variables(e) - allowed))
+    if extra:
+        raise ValueError(f"{what} may only depend on {sorted(allowed)}, uses {extra}")
 
 
 def _fmt(x) -> str:

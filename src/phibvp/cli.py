@@ -29,11 +29,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .certificates import (EXPR_VARS, BoundaryZero, InconsistentDerivative,
-                           Verdict, _report_text, brouwer_degree,
+from .certificates import (BoundaryZero, InconsistentDerivative, Verdict,
+                           _check_vars, _report_text, brouwer_degree,
                            check_growth, check_signs, eval_profile)
 # eval_many is unused here, but bench/tracing.py patches this name
-from .expr import ParseError, eval_many, parse_expr, variables  # noqa: F401
+from .expr import ParseError, eval_many, parse_expr  # noqa: F401
 from .function_space import DEFAULT_N, Grid
 from .homeomorphism import parse_phi_config
 from .operators import (AdmissibilityViolation, BoundedPreconditionError,
@@ -129,18 +129,13 @@ class _Problem:
                                    "missing required key(s): " + ", ".join(missing))
 
     def expr(self, key: str):
-        src = self.raw[key]
         try:
-            e = parse_expr(src)
+            e = parse_expr(self.raw[key])
+            _check_vars(e, key)
         except ParseError as exc:
             raise ProblemFileError(self.path, 0, f"{key}: {exc}") from exc
-        allowed = EXPR_VARS[key]
-        used = variables(e)
-        if not used <= allowed:
-            extra = ", ".join(sorted(used - allowed))
-            raise ProblemFileError(
-                self.path, 0,
-                f"{key} may only depend on {sorted(allowed)}, uses {extra}")
+        except ValueError as exc:  # a variable the key does not allow
+            raise ProblemFileError(self.path, 0, str(exc)) from None
         return e
 
     def number(self, key: str, default: float | None = None) -> float:

@@ -115,7 +115,7 @@ _RULES = {
 @dataclass(frozen=True)
 class ProblemSpec:
     """A boundary value problem instance plus the solver settings that
-    callers vary: grid size, tolerance and homotopy step."""
+    callers vary: grid size, tolerance and the first homotopy step."""
 
     problem: ProblemClass
     phi: Homeomorphism
@@ -376,37 +376,41 @@ def _exit_reason(st: _StageResult, lam: float) -> str:
 def solve(spec: ProblemSpec) -> SolveReport:
     """Iterate the fixed-point map to tolerance and return diagnostics.
 
-    One continuation loop: a stage at each lambda = k * lambda_step up to
-    1, the step halved where a stage leaves the Dirichlet map's admissible
-    set.  A class without homotopy (the singular one) takes a step of 1:
-    one stage.
+    One continuation loop from lambda = 0 to 1 (Allgower & Georg,
+    "Introduction to Numerical Continuation Methods", SIAM 2003): the step
+    starts at lambda_step and doubles after each stage Picard meets on its
+    own.  It halves where a stage leaves the Dirichlet map's admissible
+    set, and a stage that fails after it grew runs again at lambda_step;
+    either way it never grows again, lest a stiff load alternate refused
+    and accepted steps.  The singular class takes a step of 1: one stage.
 
     Raises NonConvergence (with the diagnostic report attached) when a
     stage converges neither by iteration nor by Newton-Krylov, or diverges
-    or meets a domain fault, and
-    AdmissibilityViolation when even the smallest homotopy step leaves the
-    Dirichlet map's admissible set.
+    or meets a domain fault, and AdmissibilityViolation when even the
+    smallest homotopy step leaves the Dirichlet map's admissible set.
     """
     grid = Grid(spec.T, spec.grid_n)
     u = zero_function(grid)
     path: list[tuple[float, int]] = []
     method = "picard"
     # exact rational arithmetic on the step as written, so that lambda is
-    # k * step rounded once (0.3, not 0.30000000000000004), halving stays
-    # exact and the last stage is exactly 1
-    lam_step = Fraction(str(float(spec.lambda_step))
-                        if _RULES[spec.problem].homotopy else 1)
+    # a sum of steps rounded once (0.3, not 0.30000000000000004), doubling
+    # and halving stay exact and the last stage is exactly 1
+    first = lam_step = Fraction(str(float(spec.lambda_step))
+                                if _RULES[spec.problem].homotopy else 1)
     lam_done = Fraction(0)
+    grow = True
     while lam_done < 1:
         lam = float(min(1, lam_done + lam_step))
         try:
             st = _picard_stage(spec, lam, u)
         except AdmissibilityViolation:
             if lam_step / 2 >= _LAMBDA_STEP_MIN:
-                lam_step /= 2
+                lam_step, grow = lam_step / 2, False
                 continue
             raise
         iterations, best = st.iterations, st.best_residual
+        factor = 2 if grow and st.converged else 1  # Picard met tol alone
         if not st.converged:
             # only a stalled or used-up stage is near a fixed point for
             # Newton-Krylov to polish; a divergence or a domain fault is not
@@ -418,6 +422,10 @@ def solve(spec: ProblemSpec) -> SolveReport:
                 st = _newton_stage(spec, lam, st.u)
                 iterations += st.iterations
                 method = "picard+newton"
+        if not st.converged and grow and lam_step > first:
+            log.warning("retrying from lambda=%g at the first step", float(lam_done))
+            lam_step, grow = first, False
+            continue
         path.append((lam, iterations))
         u = st.u
         if not st.converged:
@@ -427,8 +435,9 @@ def solve(spec: ProblemSpec) -> SolveReport:
                 fp_res, fp_ok = np.inf, False
             report = _build_report(spec, u, path, method, fp_res, fp_ok)
             raise NonConvergence(min(best, st.best_residual), report.iterations, report)
-        # a k * step that rounds to lambda = 1.0 ends the path as 1 does
+        # a sum of steps that rounds to lambda = 1.0 ends the path as 1 does
         lam_done = lam_done + lam_step if lam < 1.0 else Fraction(1)
+        lam_step *= factor
 
     # a converged stage's best residual is the lambda = 1 gap of u
     report = _build_report(spec, u, path, method, st.best_residual, True)

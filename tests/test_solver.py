@@ -164,8 +164,9 @@ class TestClassicBenchmark:
         lams = [lam for lam, _ in report.lambda_path]
         assert lams[-1] == 1.0
         assert all(b >= a for a, b in zip(lams, lams[1:]))
-        # lambda_step 0.1: ten stages at exact tenths, no float drift
-        assert lams == [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]
+        # lambda_step 0.1: the first stage hands off and keeps its step,
+        # each later one Picard meets on its own and doubles it, exactly
+        assert lams == [0.1, 0.2, 0.4, 0.8, 1.0]
 
     def test_oracle_agrees_with_analytic_solution(self, report):
         oracle = shooting_oracle(make_spec(C, ("power", 4.0), "exp(v)/2 - 1", 1.0))
@@ -223,35 +224,41 @@ def test_report_gap_is_the_gap_of_the_solution(f_src):
 # Picard exits that end a solve unconverged: a divergence or a domain fault
 # ends it at once, without Newton-Krylov, since its iterate is not near a
 # fixed point; a stall hands off, and here Newton-Krylov fails as well, as
-# the lambda = 1 map rejects its iterate.  (problem, logged reason, method,
+# the lambda = 1 map rejects its iterate.  A stage that fails after the
+# step has grown is run again from the last solved lambda at the first
+# step before the solve ends.  (problem, logged reasons, method,
 # Newton-Krylov calls, report after "method=...")
 FAILED_HANDOFFS = [
     ((C, ("identity",), "exp(u)", 1.0),
-     "stopped at lambda=0.1 (domain_fault after 6 iterations, best residual 1); "
-     "no Newton-Krylov handoff", "picard", 0,
+     ("stopped at lambda=0.1 (domain_fault after 6 iterations, best residual 1); "
+      "no Newton-Krylov handoff",), "picard", 0,
      "fp_residual=1.0\node_residual=1.0\nbc_residual=0.0\nomega_margin=n/a\n"
      "iterations=6\nlambda_path=0.1:6\n"),
     ((C, ("identity",), "u^3 + 1", 1.0),
-     "stopped at lambda=0.1 (diverged after 7 iterations, best residual 1); "
-     "no Newton-Krylov handoff", "picard", 0,
+     ("stopped at lambda=0.1 (diverged after 7 iterations, best residual 1); "
+      "no Newton-Krylov handoff",), "picard", 0,
      "fp_residual=1.0\node_residual=1.0\nbc_residual=0.0\nomega_margin=n/a\n"
      "iterations=7\nlambda_path=0.1:7\n"),
     ((S, ("relativistic", 1.0), "log(u + 0.3)", 1.0),
-     "stopped at lambda=1 (domain_fault after 2 iterations, best residual "
-     "0.424604); no Newton-Krylov handoff", "picard", 0,
+     ("stopped at lambda=1 (domain_fault after 2 iterations, best residual "
+      "0.424604); no Newton-Krylov handoff",), "picard", 0,
      "fp_residual=0.42460429876447303\node_residual=1.2039728043259361\n"
      "bc_residual=0.0\nomega_margin=n/a\niterations=2\nlambda_path=1.0:2\n"),
     # a later stage's fault ends that stage, not the solve: only the first
-    # stage's first map raises it; the best iterate is inadmissible at
-    # lambda = 1, so its gap is inf
+    # stage's first map raises it; the fault at the doubled step 0.2 is
+    # retried at the first step 0.1 and faults again; the best iterate is
+    # inadmissible at lambda = 1, so its gap is inf
     ((D, ("mean_curvature", 1.0), "log(0.08 - u) + 1", 1.0),
-     "stopped at lambda=0.2 (domain_fault after 4 iterations, best residual "
-     "0.00277543); no Newton-Krylov handoff", "picard", 0,
+     ("stopped at lambda=0.3 (domain_fault after 3 iterations, best residual "
+      "0.0288035); no Newton-Krylov handoff",
+      "retrying from lambda=0.1 at the first step",
+      "stopped at lambda=0.2 (domain_fault after 4 iterations, best residual "
+      "0.00277543); no Newton-Krylov handoff"), "picard", 0,
      "fp_residual=inf\node_residual=2.4752290740341567\nbc_residual=0.0\n"
      "omega_margin=-1.347707810979482\niterations=10\nlambda_path=0.1:6,0.2:4\n"),
     # the iterate is inadmissible for the lambda = 1 map, so its gap is inf
     ((D, ("mean_curvature", 1.0), "u^2*100 + 1", 2.0),
-     "stalled at lambda=0.125 (best residual 0.0106838 not halved",
+     ("stalled at lambda=0.125 (best residual 0.0106838 not halved",),
      "picard+newton", 1,
      "fp_residual=inf\node_residual=1.7420962692732402\nbc_residual=0.0\n"
      "omega_margin=-1.994454488532576\niterations=87\n"
@@ -259,10 +266,10 @@ FAILED_HANDOFFS = [
 ]
 
 
-@pytest.mark.parametrize("family,reason,method,newton_calls,text", FAILED_HANDOFFS,
+@pytest.mark.parametrize("family,reasons,method,newton_calls,text", FAILED_HANDOFFS,
                          ids=["domain_fault", "diverged", "domain_fault_at_1",
                               "domain_fault_in_a_later_stage", "inadmissible_at_1"])
-def test_failed_handoff_reports_nonconvergence(monkeypatch, caplog, family, reason,
+def test_failed_handoff_reports_nonconvergence(monkeypatch, caplog, family, reasons,
                                                method, newton_calls, text):
     calls = []
     newton_krylov = solver.scipy.optimize.newton_krylov
@@ -272,7 +279,8 @@ def test_failed_handoff_reports_nonconvergence(monkeypatch, caplog, family, reas
         with pytest.raises(NonConvergence) as ei:
             solve(make_spec(*family, grid_n=201))
     msgs = [rec.message for rec in caplog.records]
-    assert len(msgs) == 1 and reason in msgs[0]
+    assert len(msgs) == len(reasons)
+    assert all(reason in msg for reason, msg in zip(reasons, msgs))
     assert len(calls) == newton_calls
     report = ei.value.report
     assert report.method == method
@@ -379,9 +387,10 @@ def test_both_routes_meet_the_readme_boundary_conditions(family):
 
 
 # Picard map applications per solve on each BATTERY family at tol_fp 1e-13,
-# at the measured counts of the Anderson-mixed stages (damped Picard alone
-# took 40, 54, 31, 17, 17, 724 and 776)
-PICARD_ITERATIONS = [34, 40, 8, 7, 7, 119, 106]
+# at the measured counts of the Anderson-mixed stages and the doubling
+# lambda step (with a fixed step 0.1, damped Picard alone took 40, 54, 31,
+# 17, 17, 724 and 776)
+PICARD_ITERATIONS = [14, 18, 8, 7, 7, 49, 42]
 
 
 @pytest.mark.parametrize("family,iterations",
@@ -606,25 +615,51 @@ def test_oversized_forcing_raises_admissibility_guard():
         solve(make_spec(D, ("mean_curvature", 1.0), "40", 0.3))
 
 
-def test_halved_lambda_path_stays_exact():
+def test_halved_lambda_path_stays_exact(monkeypatch):
     # a stiff load leaves the admissible set at large steps, so the step
-    # 0.9 is halved twice; every lambda is an exact multiple of the step
+    # 0.9 is halved twice; after a halving the step never grows again, so
+    # every lambda is an exact multiple of the step
+    maps = []
+    apply = solver.apply_fixed_point_map
+    monkeypatch.setattr(solver, "apply_fixed_point_map",
+                        lambda *args: maps.append(1) or apply(*args))
     report = solve(make_spec(D, ("mean_curvature", 1.0), "1000*u - 2", 0.3,
                              lambda_step=0.9))
     lams = [lam for lam, _ in report.lambda_path]
     assert lams == [0.225, 0.45, 0.675, 0.9, 1.0]
+    # refused stages included: a step that grew again after the halving
+    # alternates refused and accepted stages, and ran 78
+    assert len(maps) == 68
 
 
 def test_lambda_path_ends_with_its_first_stage_at_one():
-    # 7 * 0.14285714285714285 is 1 - 5e-17, which rounds to lambda = 1.0,
-    # so the seventh stage is the last; the singular map takes no lambda
-    # and runs one stage, whatever lambda_step says
+    # the steps 1/7, 2/7 and 4/7 of 0.14285714285714285 sum to 1 - 5e-17,
+    # which rounds to lambda = 1.0, so the third stage is the last; the
+    # singular map takes no lambda and runs one stage, whatever
+    # lambda_step says
     report = solve(make_spec(D, ("mean_curvature", 1.0), "u - 2", 0.1,
                              lambda_step=1 / 7))
     lams = [lam for lam, _ in report.lambda_path]
-    assert len(lams) == 7 and lams[-1] == 1.0
+    assert lams == [1 / 7, 3 / 7, 1.0]
     report = solve(make_spec(S, ("relativistic", 1.0), "1", 1.0, lambda_step=0.3))
     assert [lam for lam, _ in report.lambda_path] == [1.0]
+
+
+def test_failed_grown_step_retries_at_the_first_step(caplog):
+    # Picard meets lambda = 0.1 on its own, so the step doubles to 0.2; the
+    # stage at 0.3 stalls and Newton-Krylov fails there, so the solve walks
+    # on from 0.1 at the first step, never doubling again, and converges
+    # (a solve that ends at the failed stage raises NonConvergence)
+    spec = make_spec(C, ("power", 3.0),
+                     "0.431*sin(u) + -1.591*v + 1.588*cos(2.467*t) + -0.00925",
+                     1.0, grid_n=201, tol_fp=1e-12)
+    with caplog.at_level(logging.WARNING, logger="phibvp.solver"):
+        report = solve(spec)
+    assert report.converged
+    assert [lam for lam, _ in report.lambda_path] == [
+        0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0]
+    retries = [rec.message for rec in caplog.records if "retrying" in rec.message]
+    assert retries == ["retrying from lambda=0.1 at the first step"]
 
 
 PHI_OF_KIND = {Kind.BOUNDED: ("mean_curvature", 1.0),
