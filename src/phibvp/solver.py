@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import enum
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable
 
@@ -151,6 +151,9 @@ class SolveReport:
     (undamped map gap, not the damped step size); ode_residual the sup of
     the centered-difference defect over interior nodes; omega_margin the
     slack a - EPS_DOM - osc g of q_phi's test on the load g, else None.
+    lambda_path holds (lambda, map applications) per stage, and iterations
+    their sum; a homotopy on more than DEFAULT_N nodes ends with two
+    lambda = 1.0 stages, on DEFAULT_N nodes and on the requested grid.
     """
 
     solution: GridFunction
@@ -384,20 +387,42 @@ def solve(spec: ProblemSpec) -> SolveReport:
     either way it never grows again, lest a stiff load alternate refused
     and accepted steps.  The singular class takes a step of 1: one stage.
 
+    A homotopy on more than DEFAULT_N nodes is walked on DEFAULT_N nodes
+    (nested iteration, Hackbusch, "Multi-Grid Methods and Applications",
+    Springer 1985); that answer, interpolated linearly, starts one stage at
+    lambda = 1 on the requested grid.  Where either fails, the solve logs
+    why and walks from zero on the requested grid.
+
     Raises NonConvergence (with the diagnostic report attached) when a
     stage converges neither by iteration nor by Newton-Krylov, or diverges
     or meets a domain fault, and AdmissibilityViolation when even the
     smallest homotopy step leaves the Dirichlet map's admissible set.
     """
     grid = Grid(spec.T, spec.grid_n)
-    u = zero_function(grid)
-    path: list[tuple[float, int]] = []
-    method = "picard"
+    homotopy = _RULES[spec.problem].homotopy
+    if homotopy and spec.grid_n > DEFAULT_N:
+        try:
+            coarse = solve(replace(spec, grid_n=DEFAULT_N))
+            w = coarse.solution
+            start = GridFunction(grid, *(np.interp(grid.nodes, w.grid.nodes, v)
+                                         for v in (w.u, w.du)))
+            return _walk(spec, start, Fraction(1), list(coarse.lambda_path),
+                         coarse.method)
+        except (NonConvergence, AdmissibilityViolation, EvalDomainError) as err:
+            log.warning("start from %d nodes failed (%s); walking lambda from "
+                        "0 on %d nodes", DEFAULT_N, err, spec.grid_n)
     # exact rational arithmetic on the step as written, so that lambda is
     # a sum of steps rounded once (0.3, not 0.30000000000000004), doubling
     # and halving stay exact and the last stage is exactly 1
-    first = lam_step = Fraction(str(float(spec.lambda_step))
-                                if _RULES[spec.problem].homotopy else 1)
+    first = Fraction(str(float(spec.lambda_step)) if homotopy else 1)
+    return _walk(spec, zero_function(grid), first, [], "picard")
+
+
+def _walk(spec: ProblemSpec, u: GridFunction, first: Fraction,
+          path: list[tuple[float, int]], method: str) -> SolveReport:
+    """solve's continuation loop from u, with first step `first`, appending
+    its stages to `path`."""
+    lam_step = first
     lam_done = Fraction(0)
     grow = True
     while lam_done < 1:

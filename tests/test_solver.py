@@ -11,6 +11,8 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -661,6 +663,77 @@ def test_failed_grown_step_retries_at_the_first_step(caplog):
     retries = [rec.message for rec in caplog.records if "retrying" in rec.message]
     assert retries == ["retrying from lambda=0.1 at the first step"]
 
+
+
+def count_maps(monkeypatch):
+    """Patch the map with a counter; returns the list of grid sizes mapped."""
+    sizes = []
+    apply = solver.apply_fixed_point_map
+    monkeypatch.setattr(solver, "apply_fixed_point_map",
+                        lambda spec, w, lam=1.0: sizes.append(w.grid.n) or apply(spec, w, lam))
+    return sizes
+
+
+# (family, map applications of the last stage on 20,001 nodes at tol_fp 1e-12)
+FINE_WALKS = [(BATTERY[0], 2), (BATTERY[5], 8), (BATTERY[2], 8)]
+
+
+@pytest.mark.parametrize("family,k", FINE_WALKS,
+                         ids=[BATTERY_IDS[0], BATTERY_IDS[5], BATTERY_IDS[2]])
+def test_fine_grid_walks_lambda_on_the_default_grid(monkeypatch, family, k):
+    # a homotopy walks lambda on 1,001 nodes, and the interpolated answer
+    # starts one stage at lambda = 1 on 20,001 nodes; the singular map has
+    # no homotopy and runs its one stage on the requested grid, as before
+    cls, phi_args, f_src, T, *_ = family
+    spec = make_spec(cls, phi_args, f_src, T, grid_n=20001, tol_fp=1e-12)
+    coarse = solve(replace(spec, grid_n=1001))
+    sizes = count_maps(monkeypatch)
+    report = solve(spec)
+    assert report.converged and report.solution.grid.n == 20001
+    if cls is S:
+        assert report.lambda_path == ((1.0, k),)
+        assert sizes == [20001] * k
+    else:
+        assert report.lambda_path[:-1] == coarse.lambda_path
+        assert report.lambda_path[-1] == (1.0, k)
+        assert sizes.count(20001) == k
+    # iterations counts the maps on both grids
+    assert len(sizes) == report.iterations == sum(it for _, it in report.lambda_path)
+
+
+def test_failed_coarse_walk_falls_back_to_the_requested_grid(caplog):
+    # the walk on 1,001 nodes fails, so the solve walks from zero on 2,001
+    # nodes and fails there as it did before any coarse walk
+    spec = make_spec(C, ("identity",), "1", 1.0, grid_n=2001)
+    with caplog.at_level(logging.WARNING, logger="phibvp.solver"):
+        with pytest.raises(NonConvergence) as err:
+            solve(spec)
+    assert err.value.report.solution.grid.n == 2001
+    assert [lam for lam, _ in err.value.report.lambda_path] == [0.1]
+    assert any(rec.message.startswith("start from 1001 nodes failed")
+               for rec in caplog.records)
+    with pytest.raises(AdmissibilityViolation) as err:
+        solve(make_spec(D, ("mean_curvature", 1.0), "40", 0.3, grid_n=2001))
+    # the text of the walk from zero on 2,001 nodes, not of the 1,001-node one
+    assert str(err.value) == ("iterate inadmissible at lambda=0.084375: "
+                              "oscillation 1.0125000000000197 reaches bound "
+                              "0.999999999999")
+    # t = 0.5 is a node of the 1,001-node grid but not of this one, so
+    # only the coarse walk meets the pole
+    report = solve(make_spec(D, ("mean_curvature", 1.0), "0.1/(t - 0.5)", 1.0,
+                             grid_n=1500))
+    assert report.lambda_path == ((0.1, 2), (0.3, 2), (0.7, 2), (1.0, 2))
+
+
+@pytest.mark.parametrize("family", [BATTERY[0], BATTERY[2], BATTERY[5]],
+                         ids=[BATTERY_IDS[0], BATTERY_IDS[2], BATTERY_IDS[5]])
+def test_start_at_a_converged_answer_converges_at_once(monkeypatch, family):
+    spec = make_spec(*family[:4], tol_fp=1e-12)
+    answer = solve(spec).solution
+    sizes = count_maps(monkeypatch)
+    report = solver._walk(spec, answer, Fraction(1), [], "picard")
+    assert report.converged and report.lambda_path[0][0] == 1.0
+    assert len(sizes) == report.iterations <= 2
 
 PHI_OF_KIND = {Kind.BOUNDED: ("mean_curvature", 1.0),
                Kind.SINGULAR: ("relativistic", 1.0),
