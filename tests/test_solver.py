@@ -664,13 +664,13 @@ def test_failed_grown_step_retries_at_the_first_step(caplog):
     assert retries == ["retrying from lambda=0.1 at the first step"]
 
 
-
 def count_maps(monkeypatch):
     """Patch the map with a counter; returns the list of grid sizes mapped."""
     sizes = []
     apply = solver.apply_fixed_point_map
-    monkeypatch.setattr(solver, "apply_fixed_point_map",
-                        lambda spec, w, lam=1.0: sizes.append(w.grid.n) or apply(spec, w, lam))
+    monkeypatch.setattr(
+        solver, "apply_fixed_point_map",
+        lambda spec, w, lam=1.0: sizes.append(w.grid.n) or apply(spec, w, lam))
     return sizes
 
 
@@ -734,6 +734,7 @@ def test_start_at_a_converged_answer_converges_at_once(monkeypatch, family):
     report = solver._walk(spec, answer, Fraction(1), [], "picard")
     assert report.converged and report.lambda_path[0][0] == 1.0
     assert len(sizes) == report.iterations <= 2
+
 
 PHI_OF_KIND = {Kind.BOUNDED: ("mean_curvature", 1.0),
                Kind.SINGULAR: ("relativistic", 1.0),
