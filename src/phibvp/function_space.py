@@ -76,6 +76,25 @@ def zero_function(grid: Grid) -> GridFunction:
     return GridFunction(grid, z, z)
 
 
+def interpolate_cubic(v: np.ndarray, n: int) -> np.ndarray:
+    """Samples v[..., j] on m >= 4 uniform nodes over [0, T], carried to n
+    uniform nodes over the same interval by the 4-point Lagrange rule on
+    the nearest source nodes: exact for cubics, and exactly v at the nodes
+    both grids share."""
+    v = np.asarray(v, dtype=float)
+    m = v.shape[-1]
+    # each target node in units of the source spacing; j * (m - 1) is an
+    # exact integer, so a shared node lands exactly on its index (take is
+    # several times faster than fancy indexing on the last axis)
+    x = np.arange(n) * (m - 1) / (n - 1)
+    i = np.clip(np.floor(x).astype(int) - 1, 0, m - 4)
+    s = x - i
+    return (-(s - 1) * (s - 2) * (s - 3) / 6 * v.take(i, axis=-1)
+            + s * (s - 2) * (s - 3) / 2 * v.take(i + 1, axis=-1)
+            - s * (s - 1) * (s - 3) / 2 * v.take(i + 2, axis=-1)
+            + s * (s - 1) * (s - 2) / 6 * v.take(i + 3, axis=-1))
+
+
 def cumulative_integral_from_0(grid: Grid, v: np.ndarray) -> np.ndarray:
     """w(t_i) = integral of v from 0 to t_i, composite trapezoid; w(0) = 0."""
     v = _as_samples(grid, v)

@@ -45,6 +45,7 @@ from .function_space import (
     Grid,
     GridFunction,
     cumulative_integral_from_0,
+    interpolate_cubic,
     l1_norm,
     zero_function,
 )
@@ -152,7 +153,8 @@ class SolveReport:
     the centered-difference defect over interior nodes; omega_margin the
     slack a - EPS_DOM - osc g of q_phi's test on the load g, else None.
     lambda_path holds (lambda, map applications) per stage, and iterations
-    their sum; a homotopy on more than DEFAULT_N nodes ends with two
+    their sum; a solve on more than DEFAULT_N nodes that takes the start
+    route has the path walked on DEFAULT_N // 2 + 1 nodes followed by two
     lambda = 1.0 stages, on DEFAULT_N nodes and on the requested grid.
     """
 
@@ -387,11 +389,18 @@ def solve(spec: ProblemSpec) -> SolveReport:
     either way it never grows again, lest a stiff load alternate refused
     and accepted steps.  The singular class takes a step of 1: one stage.
 
-    A homotopy on more than DEFAULT_N nodes is walked on DEFAULT_N nodes
-    (nested iteration, Hackbusch, "Multi-Grid Methods and Applications",
-    Springer 1985); that answer, interpolated linearly, starts one stage at
-    lambda = 1 on the requested grid.  Where either fails, the solve logs
-    why and walks from zero on the requested grid.
+    Above DEFAULT_N nodes every class takes one start route (nested
+    iteration, Hackbusch, "Multi-Grid Methods and Applications", Springer
+    1985): lambda is walked on the DEFAULT_N // 2 + 1 even nodes of the
+    DEFAULT_N grid, and that answer, interpolated, starts one stage at
+    lambda = 1 on the DEFAULT_N grid.  The trapezoid answers expand in h^2
+    (Ascher, Mattheij & Russell, "Numerical Solution of Boundary Value
+    Problems for ODEs", SIAM 1995), so at the shared nodes v_H - (1 -
+    (h/H)^2) (v_2H - v_H) / 3, for v = u and u' and H the DEFAULT_N
+    spacing, is the requested grid's answer to O(H^4).  Interpolated by
+    the 4-point rule, it starts one stage at lambda = 1 there.  The route
+    stops at the first level that fails, logs it and walks from zero on
+    the requested grid.
 
     Raises NonConvergence (with the diagnostic report attached) when a
     stage converges neither by iteration nor by Newton-Krylov, or diverges
@@ -399,22 +408,31 @@ def solve(spec: ProblemSpec) -> SolveReport:
     smallest homotopy step leaves the Dirichlet map's admissible set.
     """
     grid = Grid(spec.T, spec.grid_n)
-    homotopy = _RULES[spec.problem].homotopy
-    if homotopy and spec.grid_n > DEFAULT_N:
+    if spec.grid_n > DEFAULT_N:
+        # n is the grid being solved: a failure's warning names it
+        n = DEFAULT_N // 2 + 1
         try:
-            coarse = solve(replace(spec, grid_n=DEFAULT_N))
-            w = coarse.solution
-            start = GridFunction(grid, *(np.interp(grid.nodes, w.grid.nodes, v)
-                                         for v in (w.u, w.du)))
-            return _walk(spec, start, Fraction(1), list(coarse.lambda_path),
-                         coarse.method)
+            coarse = solve(replace(spec, grid_n=n))
+            z = np.stack([coarse.solution.u, coarse.solution.du])
+            n = DEFAULT_N
+            mid = _walk(replace(spec, grid_n=n),
+                        GridFunction(Grid(spec.T, n), *interpolate_cubic(z, n)),
+                        Fraction(1), list(coarse.lambda_path), coarse.method)
+            z_mid = np.stack([mid.solution.u, mid.solution.du])[:, ::2]
+            z = z_mid - (1.0 - ((n - 1) / (spec.grid_n - 1)) ** 2) * (z - z_mid) / 3.0
+            n = spec.grid_n
+            return _walk(spec, GridFunction(grid, *interpolate_cubic(z, n)),
+                         Fraction(1), list(mid.lambda_path), mid.method)
         except (NonConvergence, AdmissibilityViolation, EvalDomainError) as err:
-            log.warning("start from %d nodes failed (%s); walking lambda from "
-                        "0 on %d nodes", DEFAULT_N, err, spec.grid_n)
+            maps = (f" after {err.iterations} map applications"
+                    if isinstance(err, NonConvergence) else "")
+            log.warning("start route failed on %d nodes%s (%s); walking lambda "
+                        "from 0 on %d nodes", n, maps, err, spec.grid_n)
     # exact rational arithmetic on the step as written, so that lambda is
     # a sum of steps rounded once (0.3, not 0.30000000000000004), doubling
     # and halving stay exact and the last stage is exactly 1
-    first = Fraction(str(float(spec.lambda_step)) if homotopy else 1)
+    first = Fraction(str(float(spec.lambda_step))
+                     if _RULES[spec.problem].homotopy else 1)
     return _walk(spec, zero_function(grid), first, [], "picard")
 
 

@@ -7,6 +7,7 @@ from phibvp.function_space import (
     cumulative_integral_from_0,
     cumulative_integral_to_T,
     integral,
+    interpolate_cubic,
     l1_norm,
     mean,
     sup_norm,
@@ -94,3 +95,25 @@ def test_zero_function():
     g = Grid(1.0, 11)
     z = zero_function(g)
     assert np.all(z.u == 0.0) and np.all(z.du == 0.0)
+
+
+@pytest.mark.parametrize("m,n", [(501, 1001), (501, 20001), (11, 17), (4, 3)])
+def test_interpolate_cubic_is_exact_for_cubics(m, n):
+    t, x = Grid(2.0, m).nodes, Grid(2.0, n).nodes
+
+    def cubic(s):
+        return 0.3 - 1.7 * s + 0.9 * s**2 - 0.4 * s**3
+
+    # u and u' in one call, one row each
+    out = interpolate_cubic(np.stack([cubic(t), 2.0 * cubic(t)]), n)
+    assert out.shape == (2, n)
+    assert np.allclose(out, [cubic(x), 2.0 * cubic(x)], rtol=0, atol=1e-13)
+
+
+def test_interpolate_cubic_keeps_the_values_at_shared_nodes():
+    v = np.sin(7.0 * Grid(1.0, 501).nodes) + np.arange(501) % 3
+    assert np.array_equal(interpolate_cubic(v, 1001)[::2], v)
+    assert np.array_equal(interpolate_cubic(v, 20001)[::40], v)
+    # 1,500 nodes share only the two ends with 501
+    out = interpolate_cubic(v, 1500)
+    assert (out[0], out[-1]) == (v[0], v[-1])

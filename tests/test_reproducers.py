@@ -89,6 +89,18 @@ def item_5_osc_guard():
     return "solved", None, steepest
 
 
+def item_6_cusp_residual():
+    # converged, but the centered-difference defect is 2.9e-2, far above
+    # the gate's 1e-4: where u' changes sign, phi^-1 of a power 3 law has a
+    # square-root cusp, so the defect falls only like h^(1/2) while u
+    # itself converges; the oracle runs 19.6 s before it fails here
+    s = spec(ProblemClass.THREEPOINT_CLASSIC, ("power", 3.0),
+             "0.431*sin(u) + -1.591*v + 1.588*cos(2.467*t) + -0.00925", 1.0,
+             tol_fp=1e-12, grid_n=201)
+    report = solve(s)
+    return report.converged, round(report.ode_residual, 4)
+
+
 def item_7_nan_map():
     try:
         winding_number(lambda a, b: (np.where(a > 0, np.nan, a), b), 1.0)
@@ -108,6 +120,7 @@ REPRODUCERS = [
     ("item 20", item_20_both_fail_draw, ("NonConvergence", 0.0586)),
     # was f = 10*u - 1, refused by sup|g| < a/2 and solved since
     ("item 5", item_5_osc_guard, ("AdmissibilityViolation", 0.503, 9.96)),
+    ("item 6", item_6_cusp_residual, (True, 0.0287)),
     ("item 7", item_7_nan_map, "map_fn is not finite at angle 0.0: (nan, 0.0)"),
 ]
 

@@ -674,52 +674,64 @@ def count_maps(monkeypatch):
     return sizes
 
 
-# (family, map applications of the last stage on 20,001 nodes at tol_fp 1e-12)
-FINE_WALKS = [(BATTERY[0], 2), (BATTERY[5], 8), (BATTERY[2], 8)]
+# (family, map applications of the last stage on 20,001 nodes at tol_fp 1e-12);
+# the power-law start's gap is 1.6e-12 against a tolerance of 1.2e-12, so
+# that stage takes a second map
+FINE_WALKS = [(BATTERY[0], 1), (BATTERY[5], 2), (BATTERY[2], 1)]
 
 
 @pytest.mark.parametrize("family,k", FINE_WALKS,
                          ids=[BATTERY_IDS[0], BATTERY_IDS[5], BATTERY_IDS[2]])
 def test_fine_grid_walks_lambda_on_the_default_grid(monkeypatch, family, k):
-    # a homotopy walks lambda on 1,001 nodes, and the interpolated answer
-    # starts one stage at lambda = 1 on 20,001 nodes; the singular map has
-    # no homotopy and runs its one stage on the requested grid, as before
+    # every class walks lambda on the 501 even nodes of the default grid,
+    # runs one stage at lambda = 1 on its 1,001 nodes, and the Richardson
+    # extrapolation of the two answers starts one stage on 20,001 nodes
     cls, phi_args, f_src, T, *_ = family
     spec = make_spec(cls, phi_args, f_src, T, grid_n=20001, tol_fp=1e-12)
-    coarse = solve(replace(spec, grid_n=1001))
+    coarse = solve(replace(spec, grid_n=501))
     sizes = count_maps(monkeypatch)
     report = solve(spec)
     assert report.converged and report.solution.grid.n == 20001
-    if cls is S:
-        assert report.lambda_path == ((1.0, k),)
-        assert sizes == [20001] * k
-    else:
-        assert report.lambda_path[:-1] == coarse.lambda_path
-        assert report.lambda_path[-1] == (1.0, k)
-        assert sizes.count(20001) == k
-    # iterations counts the maps on both grids
+    assert report.lambda_path[:-2] == coarse.lambda_path
+    (lam_mid, k_mid), last = report.lambda_path[-2:]
+    assert lam_mid == 1.0 and last == (1.0, k)
+    assert sizes == [501] * coarse.iterations + [1001] * k_mid + [20001] * k
+    # iterations counts the maps on all three grids
     assert len(sizes) == report.iterations == sum(it for _, it in report.lambda_path)
 
 
-def test_failed_coarse_walk_falls_back_to_the_requested_grid(caplog):
-    # the walk on 1,001 nodes fails, so the solve walks from zero on 2,001
-    # nodes and fails there as it did before any coarse walk
+@pytest.mark.parametrize("n", [3, 201, 1001])
+@pytest.mark.parametrize("family", [BATTERY[0], BATTERY[2], BATTERY[5]],
+                         ids=[BATTERY_IDS[0], BATTERY_IDS[2], BATTERY_IDS[5]])
+def test_solve_up_to_the_default_grid_maps_on_its_own_grid(monkeypatch, family, n):
+    sizes = count_maps(monkeypatch)
+    report = solve(make_spec(*family[:4], grid_n=n, tol_fp=1e-12))
+    assert report.converged and set(sizes) == {n}
+
+
+def test_failed_coarse_walk_falls_back_to_the_requested_grid(monkeypatch, caplog):
+    # the walk on 501 nodes fails, so the solve runs nothing on 1,001 nodes
+    # and walks from zero on 2,001 nodes, failing there as it did before
+    # any start route
+    sizes = count_maps(monkeypatch)
     spec = make_spec(C, ("identity",), "1", 1.0, grid_n=2001)
     with caplog.at_level(logging.WARNING, logger="phibvp.solver"):
         with pytest.raises(NonConvergence) as err:
             solve(spec)
     assert err.value.report.solution.grid.n == 2001
     assert [lam for lam, _ in err.value.report.lambda_path] == [0.1]
-    assert any(rec.message.startswith("start from 1001 nodes failed")
+    assert sorted(set(sizes)) == [501, 2001]
+    assert any(rec.message.startswith("start route failed on 501 nodes after "
+                                      "624 map applications")
                for rec in caplog.records)
     with pytest.raises(AdmissibilityViolation) as err:
         solve(make_spec(D, ("mean_curvature", 1.0), "40", 0.3, grid_n=2001))
-    # the text of the walk from zero on 2,001 nodes, not of the 1,001-node one
+    # the text of the walk from zero on 2,001 nodes, not of the 501-node one
     assert str(err.value) == ("iterate inadmissible at lambda=0.084375: "
                               "oscillation 1.0125000000000197 reaches bound "
                               "0.999999999999")
-    # t = 0.5 is a node of the 1,001-node grid but not of this one, so
-    # only the coarse walk meets the pole
+    # t = 0.5 is a node of the 501-node grid but not of this one, so only
+    # the coarse walk meets the pole
     report = solve(make_spec(D, ("mean_curvature", 1.0), "0.1/(t - 0.5)", 1.0,
                              grid_n=1500))
     assert report.lambda_path == ((0.1, 2), (0.3, 2), (0.7, 2), (1.0, 2))
